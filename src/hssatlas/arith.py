@@ -84,13 +84,30 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
     The net exponent of each prime is the signed sum of its exponents
     in the individual factorials; a negative net exponent is exactly
     the condition for the ratio not to be an integer.
+
+    The arguments are scanned in descending order, and the scan for a
+    prime p stops at the first argument m < p, whose factorial p does
+    not divide.  Primes sharing a net exponent e are multiplied
+    together first and raised to e once, so the result takes one big
+    multiplication per distinct exponent instead of one per prime.
     """
-    args = (*ratio.numerator_factorials, *ratio.denominator_factorials)
-    value = 1
-    for p in _primes_upto(max(args, default=0)):
-        net = sum(_prime_exponent_in_factorial(m, p) for m in ratio.numerator_factorials)
-        net -= sum(_prime_exponent_in_factorial(m, p) for m in ratio.denominator_factorials)
+    signed = sorted(
+        [(m, 1) for m in ratio.numerator_factorials]
+        + [(m, -1) for m in ratio.denominator_factorials],
+        reverse=True,
+    )
+    by_exponent: dict[int, list[int]] = {}
+    for p in _primes_upto(signed[0][0] if signed else 0):
+        net = 0
+        for m, sign in signed:
+            if m < p:
+                break
+            net += sign * _prime_exponent_in_factorial(m, p)
         if net < 0:
             raise NonIntegralRatio(f"{ratio} is not an integer (prime {p} left over)")
-        value *= p**net
+        if net:
+            by_exponent.setdefault(net, []).append(p)
+    value = 1
+    for net, primes in by_exponent.items():
+        value *= math.prod(primes) ** net
     return value

@@ -8,10 +8,13 @@ symmetric spaces:
     atom := "I(" k "," s ")" | "II(" s ")" | "III(" s ")" | "IV(" s ")"
           | "CP(" n ")" | "(" expr ")"
 
-Whitespace is insignificant.  ``CP(n)`` is sugar for ``I(1, n+1)`` and
-an exponent repeats a factor (capped at 64 so a typo cannot allocate an
-absurd product).  ``parse`` returns the canonical form, which is also
-the key format used by every report, table and refinement file.
+Whitespace is insignificant and integers are ASCII digits.  ``CP(n)``
+is sugar for ``I(1, n+1)`` and an exponent repeats a factor.  A whole
+expression may expand to at most 64 factors and nest parentheses at
+most 64 deep, so a typo can neither allocate an absurd product nor
+exhaust the stack; both limits are checked before anything is expanded.
+``parse`` returns the canonical form, which is also the key format used
+by every report, table and refinement file.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 _KIND_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
-_MAX_EXPONENT = 64
+_MAX_EXPONENT = 64  # also the bound on the expanded factor count
+_MAX_NESTING = 64
 
 
 class SpaceSyntaxError(ValueError):
@@ -177,10 +181,18 @@ class SpaceExpr:
         return self.render()
 
 
+def _check_factor_count(count: int) -> None:
+    if count > _MAX_EXPONENT:
+        raise InvalidParams(
+            f"expression expands to {count} factors; at most {_MAX_EXPONENT} are allowed"
+        )
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, position: int | None = None) -> SpaceSyntaxError:
         return SpaceSyntaxError(message, self.pos if position is None else position)
@@ -203,7 +215,7 @@ class _Parser:
         start = self.pos
         if self.peek() == "-":
             self.pos += 1
-        while self.peek().isdigit():
+        while "0" <= self.peek() <= "9":
             self.pos += 1
         text = self.text[start : self.pos]
         if not text or text == "-":
@@ -217,6 +229,7 @@ class _Parser:
             if self.peek() in ("x", "*"):
                 self.pos += 1
                 factors.extend(self.term())
+                _check_factor_count(len(factors))
             else:
                 return factors
 
@@ -230,16 +243,21 @@ class _Parser:
                 raise InvalidParams(
                     f"exponent must be between 1 and {_MAX_EXPONENT}, got {count}"
                 )
+            _check_factor_count(len(factors) * count)
             factors = factors * count
         return factors
 
     def atom(self) -> list[IrreducibleSpace]:
         self.skip_ws()
         if self.peek() == "(":
+            if self.depth == _MAX_NESTING:
+                raise self.error(f"parentheses nest deeper than {_MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             inner = self.expr()
             self.skip_ws()
             self.eat(")")
+            self.depth -= 1
             return inner
         start = self.pos
         while self.peek().isalpha():

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import shlex
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,24 @@ def test_compute_rejects_bad_expressions(capsys, expr, expected):
     assert expected in err
 
 
+@pytest.mark.parametrize(
+    "expr,expected",
+    [
+        ("CP(²)", "SpaceSyntaxError"),
+        ("((CP(1)^64)^64)^64", "InvalidParams"),
+        ("(" * 3000 + "CP(1)" + ")" * 3000, "SpaceSyntaxError"),
+    ],
+    ids=["non-ascii-digit", "nested-powers", "deep-parentheses"],
+)
+def test_compute_rejects_oversized_and_non_ascii_input(capsys, expr, expected):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", expr)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith(expected) and err.count("\n") == 1
+
+
 def test_table_rejects_bad_family_and_range(capsys):
     assert run(capsys, "table", "V", "2..5")[0] == 2
     assert run(capsys, "table", "I", "2..5")[0] == 2  # k missing
@@ -232,3 +253,21 @@ def test_check_flags_deviation_with_exit_4(capsys, monkeypatch):
     assert "(UNEXPECTED)" in out
     assert out.rstrip("\n").splitlines()[-1] == "summary: DEVIATION from expected verdicts"
     assert run(capsys, "check", "--format", "json")[0] == 4
+
+
+# --- README ----------------------------------------------------------------
+
+
+def _readme_cli_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("hssatlas ")]
+
+
+def test_every_readme_cli_example_succeeds(capsys):
+    commands = _readme_cli_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from hssatlas.oracle import (
@@ -61,12 +63,33 @@ def test_shape_sides_must_be_positive():
 
 
 def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope():
-    for rows in range(1, 5):
-        for cols in range(1, 6):
-            shape = RectShape(rows, cols)
-            if shape.cells > BRUTE_FORCE_CELL_LIMIT:
-                continue
-            assert count_syt_bruteforce(shape) == count_syt_hook(shape)
+    # every shape of at most 20 cells in both orientations, including
+    # 5x4, 10x2 and 20x1, whose transposes are the ones enumerated
+    shapes = [
+        RectShape(rows, cols)
+        for rows in range(1, BRUTE_FORCE_CELL_LIMIT + 1)
+        for cols in range(1, BRUTE_FORCE_CELL_LIMIT // rows + 1)
+    ]
+    assert len(shapes) == 66
+    for shape in shapes:
+        assert count_syt_bruteforce(shape) == count_syt_hook(shape)
+
+
+def _hook_product_cell_by_cell(rows, cols):
+    product = 1
+    for i in range(rows):
+        for j in range(cols):
+            product *= (rows - i) + (cols - j) - 1
+    return product
+
+
+def test_hook_multiplicities_equal_the_cell_by_cell_product():
+    for rows in range(1, 41):
+        for cols in range(1, 41):
+            hooks = _hook_product_cell_by_cell(rows, cols)
+            count, remainder = divmod(math.factorial(rows * cols), hooks)
+            assert remainder == 0
+            assert count_syt_hook(RectShape(rows, cols)) == count
 
 
 def test_check_type_i_degree_with_bruteforce_coverage():

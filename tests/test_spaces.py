@@ -110,10 +110,38 @@ def test_out_of_range_parameters_rejected(text):
 
 def test_exponent_bounds():
     assert len(parse("CP(1)^64").factors) == 64
+    assert len(parse("(CP(1)^8)^8").factors) == 64
+    assert len(parse("(CP(1) x CP(2))^32").factors) == 64
     with pytest.raises(InvalidParams):
         parse("CP(1)^0")
     with pytest.raises(InvalidParams):
         parse("CP(1)^65")
+
+
+@pytest.mark.parametrize("text,position", [("CP(²)", 3), ("I(1,٣)", 4), ("CP(1)^²", 6)])
+def test_integers_are_ascii_digits_only(text, position):
+    # str.isdigit accepts all three; int() fails on the superscripts and reads ٣ as 3
+    with pytest.raises(SpaceSyntaxError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["CP(1)^64 x CP(1)", "(CP(1)^8)^9", "(CP(1) x CP(2))^33", "CP(1)" + " x CP(1)" * 64, "((CP(1)^64)^64)^64"],
+)
+def test_expanded_factor_count_is_bounded_globally(text):
+    with pytest.raises(InvalidParams):
+        parse(text)
+
+
+def test_parenthesis_nesting_depth_is_bounded():
+    assert parse("(" * 64 + "CP(1)" + ")" * 64) == parse("CP(1)")
+    with pytest.raises(SpaceSyntaxError) as err:
+        parse("(" * 65 + "CP(1)" + ")" * 65)
+    assert err.value.position == 64
+    with pytest.raises(SpaceSyntaxError):
+        parse("(" * 3000 + "CP(1)" + ")" * 3000)
 
 
 # --- canonical form --------------------------------------------------------
