@@ -161,7 +161,6 @@ class RefinementTable:
         return cls.load(path) if path else cls.builtin()
 
     def lookup(self, space: SpaceExpr) -> Refinement | None:
-        space = space.canonicalize()
         key = space.render()
         for entry in self.entries:
             if entry.rule is None and entry.pattern == key:
@@ -175,7 +174,6 @@ class RefinementTable:
 def classify(space: SpaceExpr, table: RefinementTable | None = None) -> SBResult:
     """Exact chart count when degree >= 2n, otherwise the theorem
     bracket, narrowed by the refinement table when one is supplied."""
-    space = space.canonicalize()
     d = degree(space)
     n = space.dimension
     if d >= 2 * n:
@@ -251,7 +249,6 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
 
 def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     """Full invariant report for one (product) space."""
-    space = space.canonicalize()
     sb = classify(space, table)
     case = CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE
     citations = [
@@ -333,7 +330,7 @@ def threshold_scan(
     rows = []
     for s in range(start, stop + 1):
         atom = type_i(k, s) if family == "I" else IrreducibleSpace(family, (s,))
-        space = SpaceExpr((atom,)).canonicalize()
+        space = SpaceExpr((atom,))
         sb = classify(space, table)
         rows.append(
             ScanRow(

@@ -12,45 +12,12 @@ import sys
 from typing import Sequence
 
 from . import render
-from .arith import NonIntegralRatio, eval_ratio_direct, eval_ratio_legendre
+from .arith import NonIntegralRatio
 from .atlas import RefinementTable, report, threshold_scan
-from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
-from .oracle import (
-    EXPECTED_MISMATCHES,
-    RectShape,
-    check_type_i_degree,
-    count_syt_hook,
-    isomorphism_diagnostics,
-)
-from .spaces import (
-    EmptyProduct,
-    InvalidParams,
-    SpaceSyntaxError,
-    parse,
-    type_i,
-    type_ii,
-    type_iii,
-)
+from .oracle import run_checks
+from .spaces import EmptyProduct, InvalidParams, SpaceSyntaxError, parse
 
 FORMATS = ("human", "json", "csv", "latex")
-
-_REPORT_RENDERERS = {
-    "human": render.render_report_human,
-    "json": render.render_report_json,
-    "csv": render.render_report_csv,
-    "latex": render.render_report_latex,
-}
-_SCAN_RENDERERS = {
-    "human": render.render_scan_human,
-    "json": render.render_scan_json,
-    "csv": render.render_scan_csv,
-    "latex": render.render_scan_latex,
-}
-_DIAG_RENDERERS = {
-    "json": render.render_diagnostics_json,
-    "csv": render.render_diagnostics_csv,
-    "latex": render.render_diagnostics_latex,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,112 +86,19 @@ def _load_table(args: argparse.Namespace) -> RefinementTable | None:
     return RefinementTable.resolve(args.refinements)
 
 
-def cmd_compute(args: argparse.Namespace) -> int:
-    rep = report(parse(args.expr), _load_table(args))
-    print(_REPORT_RENDERERS[args.format](rep))
-    return 0
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    family, k = _parse_family(args.family)
-    start, stop = _parse_range(args.range)
-    scan = threshold_scan(family, start, stop, k=k, table=_load_table(args))
-    print(_SCAN_RENDERERS[args.format](scan))
-    return 0
-
-
-def _arith_cross_check() -> tuple[int, int]:
-    """Evaluate every standard-sweep ratio along both arithmetic paths.
-
-    Returns (checked, failed)."""
-    ratios = []
-    for s in range(2, 10):
-        for k in range(1, s):
-            ratios.append(degree_ratio(type_i(k, s)))
-    for s in range(2, 9):
-        ratios.append(degree_ratio(type_ii(s)))
-    for s in range(1, 9):
-        ratios.append(degree_ratio(type_iii(s)))
-    for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5)):
-        ratios.append(multinomial_ratio(dims))
-    failed = sum(1 for r in ratios if eval_ratio_direct(r) != eval_ratio_legendre(r))
-    return len(ratios), failed
-
-
-def _syt_cross_check() -> tuple[int, int]:
-    """Compare type I degrees with tableau counts over 2 <= s <= 14.
-
-    Brute-force enumeration joins the hook count up to s = 8 (at most
-    16 cells) to keep the command fast; the test suite exercises the
-    full 20-cell brute-force envelope.  Returns (checked, failed).
-    """
-    checked = failed = 0
-    for s in range(2, 15):
-        for k in range(1, s // 2 + 1):
-            if s <= 8:
-                verdict = check_type_i_degree(k, s)
-            else:
-                shape = RectShape(k, s - k)
-                hook_agrees = count_syt_hook(shape) == degree_irreducible(type_i(k, s))
-                verdict = "Pass" if hook_agrees else "Mismatch"
-            checked += 1
-            failed += verdict != "Pass"
-    return checked, failed
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    ratios_checked, ratios_failed = _arith_cross_check()
-    syt_checked, syt_failed = _syt_cross_check()
-    diagnostics = isomorphism_diagnostics()
-
-    unexpected = []
-    expected_mismatches = 0
-    for diag in diagnostics:
-        expected = "Mismatch" if (diag.left, diag.right) in EXPECTED_MISMATCHES else "Pass"
-        if diag.verdict != expected:
-            unexpected.append(diag)
-        elif diag.verdict == "Mismatch":
-            expected_mismatches += 1
-    ok = not ratios_failed and not syt_failed and not unexpected
-
-    if args.format in _DIAG_RENDERERS:
-        print(_DIAG_RENDERERS[args.format](diagnostics))
-        return 0 if ok else 4
-
-    arith_status = "OK" if not ratios_failed else f"{ratios_failed} FAILED"
-    syt_status = "OK" if not syt_failed else f"{syt_failed} FAILED"
-    print(f"arithmetic cross-path: {ratios_checked} ratios, direct vs prime-exponent: {arith_status}")
-    print(f"type I degree vs tableau counts: {syt_checked} cases: {syt_status}")
-    print("isomorphism diagnostics:")
-    for diag in diagnostics:
-        note = ""
-        if diag.verdict == "Mismatch":
-            expected = (diag.left, diag.right) in EXPECTED_MISMATCHES
-            note = " (expected)" if expected else " (UNEXPECTED)"
-        print(
-            f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
-            f"degrees {diag.degree_left} vs {diag.degree_right}: {diag.verdict}{note}"
-        )
-    passes = sum(d.verdict == "Pass" for d in diagnostics)
-    if ok:
-        print(
-            f"summary: arithmetic {arith_status}, tableaux {syt_status}, "
-            f"{passes} isomorphism passes, {expected_mismatches} expected mismatch (III_2 vs IV_3)"
-        )
-        return 0
-    print("summary: DEVIATION from expected verdicts")
-    return 4
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "table":
-            return cmd_table(args)
-        return cmd_check(args)
+            kind, result = "report", report(parse(args.expr), _load_table(args))
+        elif args.command == "table":
+            family, k = _parse_family(args.family)
+            start, stop = _parse_range(args.range)
+            kind, result = "scan", threshold_scan(family, start, stop, k=k, table=_load_table(args))
+        else:
+            kind, result = "check", run_checks()
+        print(getattr(render, f"render_{kind}_{args.format}")(result))
     except (SpaceSyntaxError, InvalidParams, EmptyProduct) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -234,6 +108,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 4 if kind == "check" and not result.ok else 0
 
 
 def entry() -> None:

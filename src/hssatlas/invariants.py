@@ -33,7 +33,8 @@ def degree_ratio(space: IrreducibleSpace) -> FactorialRatio | None:
     """Factorial-ratio form of the irreducible embedding degree.
 
     Type IV has constant degree 2 and no ratio form (None is returned);
-    IV(1) and IV(2) must be canonicalized away before asking.  The type
+    IV(1) and IV(2) are refused, since ``SpaceExpr`` construction
+    rewrites them into type I factors.  The type
     I form is symmetric under k <-> s-k, so non-canonical labellings
     are accepted.
     """
@@ -57,7 +58,7 @@ def degree_ratio(space: IrreducibleSpace) -> FactorialRatio | None:
     if s <= 2:
         raise InvalidParams(
             f"degree of {space.render()} requires canonical form "
-            "(IV(1) and IV(2) are rewritten by canonicalize)"
+            "(SpaceExpr construction rewrites IV(1) and IV(2) into type I)"
         )
     return None
 

@@ -10,6 +10,10 @@ probed by evaluating dimension and degree on both sides.  Exactly one
 pair is expected to disagree -- III(2) vs IV(3), where the type III
 closed form yields 1 against the quadric's 2.  The diagnostics report
 that defect; nothing in this package patches around it.
+
+``run_checks`` runs the whole suite -- both arithmetic paths over a
+sweep of ratios, the tableau counters against the type I degrees, and
+the isomorphism probes -- and decides which verdicts were expected.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .invariants import degree_irreducible
+from .arith import eval_ratio_direct, eval_ratio_legendre
+from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
 from .spaces import IrreducibleSpace, type_i, type_ii, type_iii, type_iv
 
 BRUTE_FORCE_CELL_LIMIT = 20
@@ -165,3 +170,79 @@ def isomorphism_diagnostics() -> list[Diagnostic]:
             )
         )
     return out
+
+
+def is_expected(diag: Diagnostic) -> bool:
+    """Whether a probe's verdict is the one expected for its pair."""
+    expected = "Mismatch" if (diag.left, diag.right) in EXPECTED_MISMATCHES else "Pass"
+    return diag.verdict == expected
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Outcome of the whole cross-check suite (see ``run_checks``)."""
+
+    ratios_checked: int
+    ratios_failed: int
+    syt_checked: int
+    syt_failed: int
+    diagnostics: tuple[Diagnostic, ...]
+    unexpected: int  # diagnostics whose verdict is not the expected one
+
+    @property
+    def ok(self) -> bool:
+        return not (self.ratios_failed or self.syt_failed or self.unexpected)
+
+
+def _arith_cross_check() -> tuple[int, int]:
+    """Evaluate every standard-sweep ratio along both arithmetic paths.
+
+    Returns (checked, failed)."""
+    ratios = []
+    for s in range(2, 10):
+        for k in range(1, s):
+            ratios.append(degree_ratio(type_i(k, s)))
+    for s in range(2, 9):
+        ratios.append(degree_ratio(type_ii(s)))
+    for s in range(1, 9):
+        ratios.append(degree_ratio(type_iii(s)))
+    for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5)):
+        ratios.append(multinomial_ratio(dims))
+    failed = sum(1 for r in ratios if eval_ratio_direct(r) != eval_ratio_legendre(r))
+    return len(ratios), failed
+
+
+def _syt_cross_check() -> tuple[int, int]:
+    """Compare type I degrees with tableau counts over 2 <= s <= 14.
+
+    Brute-force enumeration joins the hook count up to s = 8 (at most
+    16 cells) to keep the check fast; the test suite exercises the
+    full 20-cell brute-force envelope.  Returns (checked, failed).
+    """
+    checked = failed = 0
+    for s in range(2, 15):
+        for k in range(1, s // 2 + 1):
+            if s <= 8:
+                verdict = check_type_i_degree(k, s)
+            else:
+                shape = RectShape(k, s - k)
+                hook_agrees = count_syt_hook(shape) == degree_irreducible(type_i(k, s))
+                verdict = "Pass" if hook_agrees else "Mismatch"
+            checked += 1
+            failed += verdict != "Pass"
+    return checked, failed
+
+
+def run_checks() -> CheckResult:
+    """Run the arithmetic, tableau and isomorphism cross-checks."""
+    ratios_checked, ratios_failed = _arith_cross_check()
+    syt_checked, syt_failed = _syt_cross_check()
+    diagnostics = tuple(isomorphism_diagnostics())
+    return CheckResult(
+        ratios_checked=ratios_checked,
+        ratios_failed=ratios_failed,
+        syt_checked=syt_checked,
+        syt_failed=syt_failed,
+        diagnostics=diagnostics,
+        unexpected=sum(not is_expected(d) for d in diagnostics),
+    )

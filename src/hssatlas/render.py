@@ -1,4 +1,4 @@
-"""Rendering of reports, scan tables and diagnostics.
+"""Rendering of reports, scan tables and cross-check results.
 
 Four formats: human (aligned text), json (stable keys, every exact
 integer as a decimal string so arbitrarily large degrees survive any
@@ -14,7 +14,7 @@ import json
 from typing import Iterable
 
 from .atlas import Report, SBResult, ScanResult
-from .oracle import Diagnostic
+from .oracle import CheckResult, Diagnostic, is_expected
 
 _LATEX_SPECIALS = {
     "&": r"\&",
@@ -266,7 +266,7 @@ def render_scan_latex(scan: ScanResult) -> str:
     return "\n".join(lines)
 
 
-# --- diagnostics -----------------------------------------------------------
+# --- cross-checks ----------------------------------------------------------
 
 
 def diagnostic_to_obj(diag: Diagnostic) -> dict:
@@ -280,27 +280,55 @@ def diagnostic_to_obj(diag: Diagnostic) -> dict:
     }
 
 
-def render_diagnostics_json(diags: list[Diagnostic]) -> str:
-    return json.dumps([diagnostic_to_obj(d) for d in diags], indent=2)
+def render_check_human(result: CheckResult) -> str:
+    arith_status = "OK" if not result.ratios_failed else f"{result.ratios_failed} FAILED"
+    syt_status = "OK" if not result.syt_failed else f"{result.syt_failed} FAILED"
+    lines = [
+        f"arithmetic cross-path: {result.ratios_checked} ratios, direct vs prime-exponent: {arith_status}",
+        f"type I degree vs tableau counts: {result.syt_checked} cases: {syt_status}",
+        "isomorphism diagnostics:",
+    ]
+    for diag in result.diagnostics:
+        note = ""
+        if diag.verdict == "Mismatch":
+            note = " (expected)" if is_expected(diag) else " (UNEXPECTED)"
+        lines.append(
+            f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
+            f"degrees {diag.degree_left} vs {diag.degree_right}: {diag.verdict}{note}"
+        )
+    if result.ok:
+        passes = sum(d.verdict == "Pass" for d in result.diagnostics)
+        mismatches = len(result.diagnostics) - passes  # all expected when ok
+        lines.append(
+            f"summary: arithmetic {arith_status}, tableaux {syt_status}, "
+            f"{passes} isomorphism passes, {mismatches} expected mismatch (III_2 vs IV_3)"
+        )
+    else:
+        lines.append("summary: DEVIATION from expected verdicts")
+    return "\n".join(lines)
 
 
-def render_diagnostics_csv(diags: list[Diagnostic]) -> str:
+def render_check_json(result: CheckResult) -> str:
+    return json.dumps([diagnostic_to_obj(d) for d in result.diagnostics], indent=2)
+
+
+def render_check_csv(result: CheckResult) -> str:
     rows: list[tuple] = [("left", "right", "dims_match", "degree_left", "degree_right", "verdict")]
     rows.extend(
         (d.left, d.right, d.dims_match, d.degree_left, d.degree_right, d.verdict)
-        for d in diags
+        for d in result.diagnostics
     )
     return _csv_text(rows)
 
 
-def render_diagnostics_latex(diags: list[Diagnostic]) -> str:
+def render_check_latex(result: CheckResult) -> str:
     lines = [
         r"\begin{tabular}{llrrl}",
         r"\hline",
         r"pair & dims agree & deg (left) & deg (right) & verdict \\",
         r"\hline",
     ]
-    for d in diags:
+    for d in result.diagnostics:
         pair = latex_escape(f"{d.left} vs {d.right}")
         lines.append(
             f"{pair} & {'yes' if d.dims_match else 'no'} & "

@@ -13,8 +13,9 @@ is sugar for ``I(1, n+1)`` and an exponent repeats a factor.  A whole
 expression may expand to at most 64 factors and nest parentheses at
 most 64 deep, so a typo can neither allocate an absurd product nor
 exhaust the stack; both limits are checked before anything is expanded.
-``parse`` returns the canonical form, which is also the key format used
-by every report, table and refinement file.
+Every ``SpaceExpr`` is in canonical form, because construction rewrites
+it; its rendering is the key format used by every report, table and
+refinement file.
 """
 
 from __future__ import annotations
@@ -131,30 +132,22 @@ def _sort_key(factor: IrreducibleSpace) -> tuple[int, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SpaceExpr:
-    """A finite product of irreducible factors (possibly just one)."""
+    """A finite product of irreducible factors (possibly just one),
+    always in canonical form.
+
+    Construction rewrites the factors: type I factors take k <= s-k
+    (both labellings name the same Grassmannian and the degree formula
+    is symmetric in them), IV(1) becomes I(1,2), IV(2) splits into
+    I(1,2) x I(1,2), and factors are sorted by (kind, params).  Two
+    spellings of one product therefore compare equal and render to the
+    same key.
+    """
 
     factors: tuple[IrreducibleSpace, ...]
 
     def __post_init__(self) -> None:
         if not self.factors:
             raise EmptyProduct("a space expression needs at least one factor")
-
-    @property
-    def dimension(self) -> int:
-        return sum(f.dimension for f in self.factors)
-
-    @property
-    def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
-
-    def canonicalize(self) -> SpaceExpr:
-        """Rewrite to the unique canonical form.  Idempotent.
-
-        Type I factors take k <= s-k (both labellings name the same
-        Grassmannian and the degree formula is symmetric in them),
-        IV(1) becomes I(1,2), IV(2) splits into I(1,2) x I(1,2), and
-        factors are sorted by (kind, params).
-        """
         rewritten: list[IrreducibleSpace] = []
         for f in self.factors:
             if f.kind == "I":
@@ -167,11 +160,15 @@ class SpaceExpr:
             else:
                 rewritten.append(f)
         rewritten.sort(key=_sort_key)
-        return SpaceExpr(tuple(rewritten))
+        object.__setattr__(self, "factors", tuple(rewritten))
 
     @property
-    def is_canonical(self) -> bool:
-        return self == self.canonicalize()
+    def dimension(self) -> int:
+        return sum(f.dimension for f in self.factors)
+
+    @property
+    def rank(self) -> int:
+        return sum(f.rank for f in self.factors)
 
     def render(self) -> str:
         """Canonical key format, e.g. ``I(1,2) x I(2,4)``."""
@@ -220,7 +217,10 @@ class _Parser:
         text = self.text[start : self.pos]
         if not text or text == "-":
             raise self.error("expected an integer", start)
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer too long ({len(text.lstrip('-'))} digits)", start) from None
 
     def expr(self) -> list[IrreducibleSpace]:
         factors = self.term()
@@ -284,7 +284,7 @@ class _Parser:
 
 
 def parse(text: str) -> SpaceExpr:
-    """Parse an expression and return its canonical form.
+    """Parse an expression into a (canonical) ``SpaceExpr``.
 
     Raises SpaceSyntaxError (with position) on malformed text,
     InvalidParams on out-of-range parameters, EmptyProduct on blank
@@ -298,4 +298,4 @@ def parse(text: str) -> SpaceExpr:
     parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error(f"unexpected {text[parser.pos]!r}")
-    return SpaceExpr(tuple(factors)).canonicalize()
+    return SpaceExpr(tuple(factors))

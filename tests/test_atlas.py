@@ -10,7 +10,7 @@ from hssatlas.atlas import (
     report,
     threshold_scan,
 )
-from hssatlas.spaces import InvalidParams, parse
+from hssatlas.spaces import InvalidParams, SpaceExpr, parse, type_i
 
 
 @pytest.fixture(scope="module")
@@ -146,10 +146,10 @@ def test_table_from_lines_parses_sets_intervals_and_rule():
 def test_table_canonicalizes_explicit_keys():
     table = RefinementTable.from_lines(["I(2,4) | {5,6} | c; ."])
     assert table.lookup(parse("I(2,4)")) is not None
-    # the same space under its dual labelling
-    assert table.lookup(parse("I(2,4)").canonicalize()) is not None
     table = RefinementTable.from_lines(["I(3,5) | {7,8} | c; ."])
     assert table.entries[0].pattern == "I(2,5)"
+    # the same space under its dual labelling
+    assert table.lookup(SpaceExpr((type_i(3, 5),))) is not None
 
 
 def test_table_load_rejects_malformed_lines(tmp_path):

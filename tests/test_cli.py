@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hssatlas import cli
+from hssatlas import cli, oracle
 
 
 @pytest.fixture(autouse=True)
@@ -136,8 +136,9 @@ def test_compute_rejects_bad_expressions(capsys, expr, expected):
         ("CP(²)", "SpaceSyntaxError"),
         ("((CP(1)^64)^64)^64", "InvalidParams"),
         ("(" * 3000 + "CP(1)" + ")" * 3000, "SpaceSyntaxError"),
+        ("CP(" + "9" * 5000 + ")", "SpaceSyntaxError"),
     ],
-    ids=["non-ascii-digit", "nested-powers", "deep-parentheses"],
+    ids=["non-ascii-digit", "nested-powers", "deep-parentheses", "long-integer"],
 )
 def test_compute_rejects_oversized_and_non_ascii_input(capsys, expr, expected):
     start = time.perf_counter()
@@ -245,14 +246,81 @@ def test_check_json_lists_the_six_pairs(capsys):
     assert (mismatches[0]["degree_left"], mismatches[0]["degree_right"]) == ("1", "2")
 
 
-def test_check_flags_deviation_with_exit_4(capsys, monkeypatch):
-    # pretend no mismatch is expected: the III(2)/IV(3) one becomes a deviation
-    monkeypatch.setattr(cli, "EXPECTED_MISMATCHES", frozenset())
-    code, out, _ = run(capsys, "check")
+CHECK_CSV = """\
+left,right,dims_match,degree_left,degree_right,verdict
+II(2),"I(1,2)",True,1,1,Pass
+II(3),"I(1,4)",True,1,1,Pass
+II(4),IV(6),True,2,2,Pass
+III(1),"I(1,2)",True,1,1,Pass
+III(2),IV(3),True,1,2,Mismatch
+IV(4),"I(2,4)",True,2,2,Pass
+"""
+
+CHECK_LATEX = r"""\begin{tabular}{llrrl}
+\hline
+pair & dims agree & deg (left) & deg (right) & verdict \\
+\hline
+II(2) vs I(1,2) & yes & 1 & 1 & Pass \\
+II(3) vs I(1,4) & yes & 1 & 1 & Pass \\
+II(4) vs IV(6) & yes & 2 & 2 & Pass \\
+III(1) vs I(1,2) & yes & 1 & 1 & Pass \\
+III(2) vs IV(3) & yes & 1 & 2 & Mismatch \\
+IV(4) vs I(2,4) & yes & 2 & 2 & Pass \\
+\hline
+\end{tabular}
+"""
+
+
+@pytest.mark.parametrize(
+    "fmt,expected", [("csv", CHECK_CSV), ("latex", CHECK_LATEX)], ids=["csv", "latex"]
+)
+def test_check_csv_and_latex_are_pinned(capsys, fmt, expected):
+    assert run(capsys, "check", "--format", fmt) == (0, expected, "")
+
+
+def _no_expected_mismatch(monkeypatch):
+    # the III(2)/IV(3) mismatch becomes a deviation
+    monkeypatch.setattr(oracle, "EXPECTED_MISMATCHES", frozenset())
+
+
+def _hook_count_off_by_one(monkeypatch):
+    hook = oracle.count_syt_hook
+    monkeypatch.setattr(oracle, "count_syt_hook", lambda shape: hook(shape) + 1)
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "deviate,human_line",
+    [
+        (
+            _no_expected_mismatch,
+            "  III(2) vs IV(3): dims match: yes, degrees 1 vs 2: Mismatch (UNEXPECTED)",
+        ),
+        (_hook_count_off_by_one, "type I degree vs tableau counts: 49 cases: 49 FAILED"),
+    ],
+    ids=["isomorphism", "tableau"],
+)
+def test_check_flags_deviation_with_exit_4(capsys, monkeypatch, deviate, human_line, fmt):
+    deviate(monkeypatch)
+    code, out, _ = run(capsys, "check", "--format", fmt)
     assert code == 4
-    assert "(UNEXPECTED)" in out
-    assert out.rstrip("\n").splitlines()[-1] == "summary: DEVIATION from expected verdicts"
-    assert run(capsys, "check", "--format", "json")[0] == 4
+    if fmt == "human":
+        lines = out.rstrip("\n").splitlines()
+        assert human_line in lines
+        assert lines[-1] == "summary: DEVIATION from expected verdicts"
+
+
+# --- every command in every format ------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "argv", [("compute", "I(2,5)"), ("table", "II", "2..7"), ("check",)], ids=lambda argv: argv[0]
+)
+def test_every_command_renders_every_format(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out.strip()
 
 
 # --- README ----------------------------------------------------------------

