@@ -67,27 +67,34 @@ class SBResult:
 
 @dataclass(frozen=True)
 class RefinementEntry:
+    """One table record.
+
+    ``values`` is a sorted tuple of distinct values for a '{5,6}' set, a
+    ``range`` for a '[7,10]' interval (so a record costs the same
+    whatever the interval's width), and None for the projective rule.
+    """
+
     pattern: str  # canonical key, or "I(1,*)" for the projective rule
-    values: tuple[int, ...] | None  # explicit set; None for the rule
+    values: tuple[int, ...] | range | None
     rule: str | None  # "n_plus_1" or None
     citation: str
 
 
-def _parse_values_spec(spec: str) -> tuple[tuple[int, ...] | None, str | None]:
+def _parse_values_spec(spec: str) -> tuple[tuple[int, ...] | range | None, str | None]:
     spec = spec.strip()
     if spec == PROJECTIVE_RULE_TOKEN:
         return None, PROJECTIVE_RULE_TOKEN
     if spec.startswith("{") and spec.endswith("}"):
-        values = tuple(sorted(int(v) for v in spec[1:-1].split(",")))
-        if not values:
+        body = spec[1:-1]
+        if not body.strip():
             raise ValueError("empty value set")
-        return values, None
+        return tuple(sorted({int(v) for v in body.split(",")})), None
     if spec.startswith("[") and spec.endswith("]"):
         lo_text, _, hi_text = spec[1:-1].partition(",")
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty interval [{lo},{hi}]")
-        return tuple(range(lo, hi + 1)), None
+        return range(lo, hi + 1), None
     raise ValueError(f"values must look like '{{5,6}}', '[7,10]' or '{PROJECTIVE_RULE_TOKEN}', got {spec!r}")
 
 
@@ -133,11 +140,11 @@ class RefinementTable:
             space = parse(pattern)
             assert values is not None
             bare = classify(space)
-            allowed = {bare.value} if bare.kind == "Exact" else set(range(bare.lower, bare.upper + 1))
-            if not set(values) <= allowed:
+            lower, upper = (bare.value, bare.value) if bare.kind == "Exact" else (bare.lower, bare.upper)
+            if not (lower <= values[0] and values[-1] <= upper):
                 raise ValueError(
-                    f"{source}:{lineno}: refinement {set(values)} for {space.render()} "
-                    f"contradicts the theorem bounds {sorted(allowed)[0]}..{sorted(allowed)[-1]}"
+                    f"{source}:{lineno}: refinement {values_spec} for {space.render()} "
+                    f"contradicts the theorem bounds {lower}..{upper}"
                 )
             entries.append(RefinementEntry(space.render(), values, None, citation))
         return cls(tuple(entries))
@@ -164,7 +171,7 @@ class RefinementTable:
         key = space.render()
         for entry in self.entries:
             if entry.rule is None and entry.pattern == key:
-                return Refinement(entry.values, entry.citation)
+                return Refinement(tuple(entry.values), entry.citation)
         for entry in self.entries:
             if entry.rule == PROJECTIVE_RULE_TOKEN and _is_single_projective(space):
                 return Refinement((space.dimension + 1,), entry.citation)
@@ -174,7 +181,11 @@ class RefinementTable:
 def classify(space: SpaceExpr, table: RefinementTable | None = None) -> SBResult:
     """Exact chart count when degree >= 2n, otherwise the theorem
     bracket, narrowed by the refinement table when one is supplied."""
-    d = degree(space)
+    return _classify(space, degree(space), table)
+
+
+def _classify(space: SpaceExpr, d: int, table: RefinementTable | None) -> SBResult:
+    """``classify`` for a space whose degree ``d`` is already known."""
     n = space.dimension
     if d >= 2 * n:
         return SBResult.exact(d + 1)
@@ -331,12 +342,13 @@ def threshold_scan(
     for s in range(start, stop + 1):
         atom = type_i(k, s) if family == "I" else IrreducibleSpace(family, (s,))
         space = SpaceExpr((atom,))
-        sb = classify(space, table)
+        d = degree(space)
+        sb = _classify(space, d, table)
         rows.append(
             ScanRow(
                 param=s,
                 n=space.dimension,
-                degree=degree(space),
+                degree=d,
                 sb=sb,
                 clause=CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE,
             )

@@ -13,6 +13,7 @@ import io
 import json
 from typing import Iterable
 
+from . import oracle
 from .atlas import Report, SBResult, ScanResult
 from .oracle import CheckResult, Diagnostic, is_expected
 
@@ -280,6 +281,11 @@ def diagnostic_to_obj(diag: Diagnostic) -> dict:
     }
 
 
+def _pair_label(left: str, right: str) -> str:
+    """'III(2)', 'IV(3)' -> 'III_2 vs IV_3'."""
+    return " vs ".join(name.replace("(", "_").replace(")", "") for name in (left, right))
+
+
 def render_check_human(result: CheckResult) -> str:
     arith_status = "OK" if not result.ratios_failed else f"{result.ratios_failed} FAILED"
     syt_status = "OK" if not result.syt_failed else f"{result.syt_failed} FAILED"
@@ -299,9 +305,10 @@ def render_check_human(result: CheckResult) -> str:
     if result.ok:
         passes = sum(d.verdict == "Pass" for d in result.diagnostics)
         mismatches = len(result.diagnostics) - passes  # all expected when ok
+        expected = ", ".join(_pair_label(*pair) for pair in sorted(oracle.EXPECTED_MISMATCHES))
         lines.append(
             f"summary: arithmetic {arith_status}, tableaux {syt_status}, "
-            f"{passes} isomorphism passes, {mismatches} expected mismatch (III_2 vs IV_3)"
+            f"{passes} isomorphism passes, {mismatches} expected mismatch ({expected})"
         )
     else:
         lines.append("summary: DEVIATION from expected verdicts")

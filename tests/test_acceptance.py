@@ -239,7 +239,10 @@ def test_criterion_08_identity_suite():
     ]
     for a, b in pairs:
         d = degree(SpaceExpr((a, b)))
-        ok = ok and d == degree(SpaceExpr((b, a)))
+        # the product formula in both raw factor orders (SpaceExpr sorts)
+        for order in ((a, b), (b, a)):
+            mixing = eval_ratio_direct(multinomial_ratio([f.dimension for f in order]))
+            ok = ok and math.prod(degree_irreducible(f) for f in order) * mixing == d
         ok = ok and gamma(SpaceExpr((a, b))) == d + 1
     for a, b, c in combinations_with_replacement(pool[:8], 3):
         if a.dimension + b.dimension + c.dimension > 15:

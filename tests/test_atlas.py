@@ -1,16 +1,22 @@
+import tracemalloc
+
 import pytest
 
+from hssatlas import render
 from hssatlas.atlas import (
     CLAUSE_EXACT,
     CLAUSE_RANGE,
     Refinement,
     RefinementTable,
     SBResult,
+    ScanResult,
+    ScanRow,
     classify,
     report,
     threshold_scan,
 )
-from hssatlas.spaces import InvalidParams, SpaceExpr, parse, type_i
+from hssatlas.invariants import degree
+from hssatlas.spaces import InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
 
 
 @pytest.fixture(scope="module")
@@ -170,11 +176,51 @@ def test_table_load_rejects_malformed_lines(tmp_path):
 
 
 def test_table_load_rejects_contradicting_values():
-    # theorem bracket for I(2,4) is [5,9]; 4 falls outside it
-    with pytest.raises(ValueError, match="contradicts"):
-        RefinementTable.from_lines(["I(2,4) | {4,5} | c; ."])
-    with pytest.raises(ValueError, match="contradicts"):
-        RefinementTable.from_lines(["I(2,4) | [5,10] | c; ."])
+    # one line: the values spec as written, then the theorem's lower..upper
+    cases = [
+        # theorem bracket for I(2,4) is [5,9]; 4 and 10 fall outside it
+        ("I(2,4) | {5, 4} | c; .", "refinement {5, 4} for I(2,4) contradicts the theorem bounds 5..9"),
+        ("I(2,4) | [5,10] | c; .", "refinement [5,10] for I(2,4) contradicts the theorem bounds 5..9"),
+        ("I(3,6) | {43,44} | c; .", "refinement {43,44} for I(3,6) contradicts the theorem bounds 43..43"),
+        ("IV(5) | [6,1000006] | c; .", "refinement [6,1000006] for IV(5) contradicts the theorem bounds 6..11"),
+    ]
+    for line, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            RefinementTable.from_lines(["# header", line], source="t.txt")
+        assert str(excinfo.value) == f"t.txt:2: {message}"
+
+
+def test_set_duplicates_collapse():
+    table = RefinementTable.from_lines(["I(2,5) | {8,7,8,7} | c; ."])
+    assert table.entries[0].values == (7, 8)
+    assert table.lookup(parse("I(2,5)")).values == (7, 8)
+
+
+@pytest.mark.parametrize("spec", ["{}", "{ }"])
+def test_empty_set_is_named(spec):
+    with pytest.raises(ValueError) as excinfo:
+        RefinementTable.from_lines([f"I(2,4) | {spec} | c; ."])
+    assert str(excinfo.value) == "<memory>:1: empty value set"
+
+
+def test_interval_record_holds_a_range_and_lookup_a_tuple():
+    table = RefinementTable.from_lines(["IV(40) | [41,81] | c; ."])
+    assert table.entries[0].values == range(41, 82)
+    values = table.lookup(parse("IV(40)")).values
+    assert isinstance(values, tuple)
+    assert values == tuple(range(41, 82))
+
+
+def test_wide_interval_loads_in_bounded_memory():
+    # a 10^6-wide interval costs no more than a narrow one
+    tracemalloc.start()
+    try:
+        table = RefinementTable.from_lines(["IV(1000000) | [1000001,2000001] | c; ."])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.entries[0].values) == 1_000_001
+    assert peak < 1_000_000
 
 
 def test_resolve_precedence(tmp_path, monkeypatch):
@@ -236,6 +282,49 @@ def test_scan_first_exact_requires_a_stable_suffix():
 def test_scan_rows_carry_refinements_when_table_given(table):
     scan = threshold_scan("I", 4, 5, k=2, table=table)
     assert scan.rows[0].sb.refinement.values == (5, 6)
+
+
+def _reference_scan(scan: ScanResult, atoms, table) -> ScanResult:
+    """The scan rebuilt row by row from ``degree`` and ``classify``."""
+    rows = []
+    for param, atom in atoms:
+        space = SpaceExpr((atom,))
+        sb = classify(space, table)
+        clause = CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE
+        rows.append(ScanRow(param, space.dimension, degree(space), sb, clause))
+    return ScanResult(scan.family, tuple(rows), scan.first_exact, scan.footnotes)
+
+
+@pytest.mark.parametrize(
+    "family,start,stop,k",
+    [
+        ("I", 2, 12, 1),
+        ("I", 3, 14, 2),
+        ("I", 4, 14, 3),
+        ("II", 2, 10, None),
+        ("III", 1, 10, None),
+        ("IV", 3, 48, None),
+    ],
+    ids=["I:k=1", "I:k=2", "I:k=3", "II", "III", "IV"],
+)
+def test_scan_rows_match_per_row_classification(tmp_path, family, start, stop, k):
+    path = tmp_path / "refinements.txt"
+    records = [f"IV({s}) | [{s + 1},{2 * s + 1}] | generated; full bracket" for s in range(3, 43)]
+    records += ["I(1,*) | n_plus_1 | rule; .", "I(2,4) | {5,6} | c; .", "I(2,5) | [7,10] | c; ."]
+    records += ["I(3,6) | {43} | c; .", "II(4) | {8,7} | c; .", "III(3) | [7,13] | c; ."]
+    path.write_text("\n".join(records) + "\n", encoding="utf-8")
+    table = RefinementTable.load(str(path))
+    scan = threshold_scan(family, start, stop, k=k, table=table)
+    if family == "I":
+        atoms = [(s, type_i(k, s)) for s in range(start, stop + 1)]
+    else:
+        atoms = [(s, IrreducibleSpace(family, (s,))) for s in range(start, stop + 1)]
+    expected = _reference_scan(scan, atoms, table)
+    assert scan == expected
+    assert any(row.sb.refinement is not None for row in scan.rows)
+    for fmt in ("human", "json", "csv", "latex"):
+        render_scan = getattr(render, f"render_scan_{fmt}")
+        assert render_scan(scan) == render_scan(expected)
 
 
 def test_scan_parameter_validation():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hssatlas import cli, oracle
+from hssatlas.spaces import type_ii, type_iv
 
 
 @pytest.fixture(autouse=True)
@@ -171,6 +172,14 @@ def test_contradicting_refinement_file_is_rejected(capsys, tmp_path):
     assert "contradicts" in err
 
 
+def test_duplicate_set_values_print_once(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("I(2,4) | {5,5} | c; .\n", encoding="utf-8")
+    code, out, _ = run(capsys, "compute", "I(2,4)", "--refinements", str(path))
+    assert code == 0
+    assert out.rstrip("\n").splitlines()[-1] == "S_B = 5 (refined; c)"
+
+
 def test_missing_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as excinfo:
         cli.main([])
@@ -276,6 +285,20 @@ IV(4) vs I(2,4) & yes & 2 & 2 & Pass \\
 )
 def test_check_csv_and_latex_are_pinned(capsys, fmt, expected):
     assert run(capsys, "check", "--format", fmt) == (0, expected, "")
+
+
+def test_check_summary_names_the_expected_pairs(capsys, monkeypatch):
+    # another probe list whose one mismatch is declared expected
+    monkeypatch.setattr(
+        oracle, "ISOMORPHISM_PAIRS", ((type_ii(4), type_iv(6)), (type_ii(3), type_iv(4)))
+    )
+    monkeypatch.setattr(oracle, "EXPECTED_MISMATCHES", frozenset({("II(3)", "IV(4)")}))
+    code, out, _ = run(capsys, "check")
+    assert code == 0
+    assert out.rstrip("\n").splitlines()[-1] == (
+        "summary: arithmetic OK, tableaux OK, "
+        "1 isomorphism passes, 1 expected mismatch (II_3 vs IV_4)"
+    )
 
 
 def _no_expected_mismatch(monkeypatch):

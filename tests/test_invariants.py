@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -91,10 +92,11 @@ def test_type_i_degree_duality():
 
 
 def test_product_degree_is_reorder_invariant():
+    # the product formula over raw factor orders (SpaceExpr sorts them)
     a, b, c = type_i(2, 4), type_ii(5), type_iv(3)
-    orderings = [(a, b, c), (c, b, a), (b, a, c), (c, a, b)]
-    degrees = {degree(SpaceExpr(order)) for order in orderings}
-    assert len(degrees) == 1
+    for order in itertools.permutations((a, b, c)):
+        mixing = eval_ratio_direct(multinomial_ratio([f.dimension for f in order]))
+        assert math.prod(degree_irreducible(f) for f in order) * mixing == degree(SpaceExpr(order))
 
 
 def test_product_degree_composes_associatively():
