@@ -17,6 +17,7 @@ from .arith import (
 from .atlas import (
     CLAUSE_EXACT,
     CLAUSE_RANGE,
+    MAX_SCAN_ROWS,
     Refinement,
     RefinementEntry,
     RefinementTable,
@@ -75,6 +76,7 @@ __all__ = [
     "ISOMORPHISM_PAIRS",
     "InvalidParams",
     "IrreducibleSpace",
+    "MAX_SCAN_ROWS",
     "NonIntegralRatio",
     "NormalizedVolume",
     "RectShape",

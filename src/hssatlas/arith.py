@@ -11,7 +11,7 @@ other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NonIntegralRatio(ArithmeticError):
@@ -29,8 +29,7 @@ def factorial(m: int) -> int:
     return math.factorial(m)
 
 
-@dataclass(frozen=True)
-class FactorialRatio:
+class FactorialRatio(NamedTuple):
     """A product of factorials divided by a product of factorials.
 
     Fields hold the factorial arguments: numerator ``(10, 2, 4, 6)``

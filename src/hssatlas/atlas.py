@@ -15,9 +15,9 @@ changes which clause fired.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
 from .spaces import InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
@@ -31,8 +31,7 @@ PROJECTIVE_RULE_PATTERN = "I(1,*)"
 PROJECTIVE_RULE_TOKEN = "n_plus_1"
 
 
-@dataclass(frozen=True)
-class Refinement:
+class Refinement(NamedTuple):
     """Literature narrowing of a classification bracket."""
 
     values: tuple[int, ...]
@@ -44,8 +43,7 @@ class Refinement:
         return self.citation.split(";")[0].strip()
 
 
-@dataclass(frozen=True)
-class SBResult:
+class SBResult(NamedTuple):
     """Outcome of the classification: an exact chart count, or the
     clause (ii) bracket [max(n+1, degree+1), 2n+1], optionally narrowed
     by a refinement."""
@@ -65,8 +63,7 @@ class SBResult:
         return SBResult("Range", lower=lower, upper=upper, refinement=refinement)
 
 
-@dataclass(frozen=True)
-class RefinementEntry:
+class RefinementEntry(NamedTuple):
     """One table record.
 
     ``values`` is a sorted tuple of distinct values for a '{5,6}' set, a
@@ -102,9 +99,40 @@ def _is_single_projective(space: SpaceExpr) -> bool:
     return len(space.factors) == 1 and space.factors[0].kind == "I" and space.factors[0].params[0] == 1
 
 
-@dataclass(frozen=True)
-class RefinementTable:
+class _RefinementTableFields(NamedTuple):
     entries: tuple[RefinementEntry, ...]
+    by_key: Mapping[str, RefinementEntry]
+    rule: RefinementEntry | None
+
+
+class RefinementTable(_RefinementTableFields):
+    """The records of one refinement table, in file order.
+
+    Built from ``entries`` alone: ``by_key`` maps each explicit key to
+    its first record (a read-only view) and ``rule`` is the first
+    projective-rule record, so a lookup is one dict probe.  An explicit
+    key beats the rule.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[RefinementEntry]) -> RefinementTable:
+        entries = tuple(entries)
+        by_key: dict[str, RefinementEntry] = {}
+        rule = None
+        for entry in entries:
+            if entry.rule is None:
+                by_key.setdefault(entry.pattern, entry)
+            elif rule is None and entry.rule == PROJECTIVE_RULE_TOKEN:
+                rule = entry
+        return super().__new__(cls, entries, MappingProxyType(by_key), rule)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> RefinementTable:
+        return cls(tuple(iterable)[0])  # so that _replace() rebuilds the index
+
+    def __hash__(self) -> int:
+        return hash(self.entries)  # the other fields follow from it
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<memory>") -> "RefinementTable":
@@ -168,13 +196,11 @@ class RefinementTable:
         return cls.load(path) if path else cls.builtin()
 
     def lookup(self, space: SpaceExpr) -> Refinement | None:
-        key = space.render()
-        for entry in self.entries:
-            if entry.rule is None and entry.pattern == key:
-                return Refinement(tuple(entry.values), entry.citation)
-        for entry in self.entries:
-            if entry.rule == PROJECTIVE_RULE_TOKEN and _is_single_projective(space):
-                return Refinement((space.dimension + 1,), entry.citation)
+        entry = self.by_key.get(space.render())
+        if entry is not None:
+            return Refinement(tuple(entry.values), entry.citation)
+        if self.rule is not None and _is_single_projective(space):
+            return Refinement((space.dimension + 1,), self.rule.citation)
         return None
 
 
@@ -193,8 +219,7 @@ def _classify(space: SpaceExpr, d: int, table: RefinementTable | None) -> SBResu
     return SBResult.bracket(max(n + 1, d + 1), 2 * n + 1, refinement)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     space: str
     n: int
     rank: int
@@ -286,8 +311,7 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     param: int
     n: int
     degree: int
@@ -295,8 +319,7 @@ class ScanRow:
     clause: str
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     family: str
     rows: tuple[ScanRow, ...]
     first_exact: int | None
@@ -311,6 +334,11 @@ _TYPE_III_FOOTNOTE = (
 
 _FAMILIES = ("I", "II", "III", "IV")
 
+# A scan keeps every row and prints them all, so its length is bounded
+# before the first row is computed; a mistyped range then fails at once
+# instead of running without end.
+MAX_SCAN_ROWS = 10_000
+
 
 def threshold_scan(
     family: str,
@@ -323,7 +351,8 @@ def threshold_scan(
 
     ``first_exact`` is the least parameter from which the exact clause
     fires and keeps firing through the end of the range (None if the
-    final row is still a bracket).
+    final row is still a bracket).  A range of more than
+    ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
     """
     if family not in _FAMILIES:
         raise InvalidParams(f"unknown family {family!r} (expected one of {', '.join(_FAMILIES)})")
@@ -337,6 +366,10 @@ def threshold_scan(
         label = family
     if start > stop:
         raise InvalidParams(f"empty range {start}..{stop}")
+    if stop - start >= MAX_SCAN_ROWS:
+        raise InvalidParams(
+            f"range {start}..{stop} has {stop - start + 1} rows; at most {MAX_SCAN_ROWS} are allowed"
+        )
 
     rows = []
     for s in range(start, stop + 1):

@@ -20,8 +20,7 @@ IV(3); the oracle module keeps that visible instead of patching it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
 from .spaces import InvalidParams, IrreducibleSpace, SpaceExpr
@@ -88,8 +87,7 @@ def degree(space: SpaceExpr) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class NormalizedVolume:
+class NormalizedVolume(NamedTuple):
     """Symplectic volume in units of pi^n/n!: Vol = units * pi^n / n!.
 
     ``units`` always equals the embedding degree; CP^n itself has one

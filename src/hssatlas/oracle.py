@@ -19,7 +19,7 @@ the isomorphism probes -- and decides which verdicts were expected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from .arith import eval_ratio_direct, eval_ratio_legendre
 from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
@@ -32,14 +32,25 @@ class ShapeTooLarge(ValueError):
     """Exhaustive enumeration is only allowed up to 20 cells."""
 
 
-@dataclass(frozen=True)
-class RectShape:
+class _RectShapeFields(NamedTuple):
     rows: int
     cols: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"shape sides must be positive, got {self.rows}x{self.cols}")
+
+class RectShape(_RectShapeFields):
+    """A rows x cols rectangle; sides below 1 raise ``ValueError`` when
+    it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int) -> RectShape:
+        if rows < 1 or cols < 1:
+            raise ValueError(f"shape sides must be positive, got {rows}x{cols}")
+        return super().__new__(cls, rows, cols)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> RectShape:
+        return cls(*iterable)  # so that _replace() validates too
 
     @property
     def cells(self) -> int:
@@ -123,8 +134,7 @@ def check_type_i_degree(k: int, s: int) -> str:
     return "Pass"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     left: str
     right: str
     dims_match: bool
@@ -178,8 +188,7 @@ def is_expected(diag: Diagnostic) -> bool:
     return diag.verdict == expected
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of the whole cross-check suite (see ``run_checks``)."""
 
     ratios_checked: int

@@ -20,7 +20,7 @@ refinement file.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 _KIND_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 _MAX_EXPONENT = 64  # also the bound on the expanded factor count
@@ -43,32 +43,43 @@ class EmptyProduct(ValueError):
     """A space expression needs at least one factor."""
 
 
-@dataclass(frozen=True)
-class IrreducibleSpace:
-    """One irreducible factor: kind "I", "II", "III" or "IV" plus its
-    integer parameters ((k, s) for type I, (s,) for the others)."""
-
+class _IrreducibleFields(NamedTuple):
     kind: str
     params: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind == "I":
-            if len(self.params) != 2:
-                raise InvalidParams(f"type I takes (k, s), got {self.params}")
-            k, s = self.params
+
+class IrreducibleSpace(_IrreducibleFields):
+    """One irreducible factor: kind "I", "II", "III" or "IV" plus its
+    integer parameters ((k, s) for type I, (s,) for the others).
+
+    An immutable named tuple; out-of-range parameters raise
+    ``InvalidParams`` when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, params: tuple[int, ...]) -> IrreducibleSpace:
+        if kind == "I":
+            if len(params) != 2:
+                raise InvalidParams(f"type I takes (k, s), got {params}")
+            k, s = params
             if s < 2 or not 1 <= k <= s - 1:
                 raise InvalidParams(
                     f"type I requires 1 <= k <= s-1 and s >= 2, got k={k}, s={s}"
                 )
-        elif self.kind in ("II", "III", "IV"):
-            if len(self.params) != 1:
-                raise InvalidParams(f"type {self.kind} takes (s,), got {self.params}")
-            (s,) = self.params
-            least = 2 if self.kind == "II" else 1
+        elif kind in ("II", "III", "IV"):
+            if len(params) != 1:
+                raise InvalidParams(f"type {kind} takes (s,), got {params}")
+            (s,) = params
+            least = 2 if kind == "II" else 1
             if s < least:
-                raise InvalidParams(f"type {self.kind} requires s >= {least}, got s={s}")
+                raise InvalidParams(f"type {kind} requires s >= {least}, got s={s}")
         else:
-            raise InvalidParams(f"unknown space kind {self.kind!r}")
+            raise InvalidParams(f"unknown space kind {kind!r}")
+        return super().__new__(cls, kind, params)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> IrreducibleSpace:
+        return cls(*iterable)  # so that _replace() validates too
 
     @property
     def dimension(self) -> int:
@@ -130,8 +141,11 @@ def _sort_key(factor: IrreducibleSpace) -> tuple[int, tuple[int, ...]]:
     return (_KIND_ORDER[factor.kind], factor.params)
 
 
-@dataclass(frozen=True)
-class SpaceExpr:
+class _SpaceExprFields(NamedTuple):
+    factors: tuple[IrreducibleSpace, ...]
+
+
+class SpaceExpr(_SpaceExprFields):
     """A finite product of irreducible factors (possibly just one),
     always in canonical form.
 
@@ -139,17 +153,17 @@ class SpaceExpr:
     (both labellings name the same Grassmannian and the degree formula
     is symmetric in them), IV(1) becomes I(1,2), IV(2) splits into
     I(1,2) x I(1,2), and factors are sorted by (kind, params).  Two
-    spellings of one product therefore compare equal and render to the
-    same key.
+    spellings of one product therefore compare equal, hash equal and
+    render to the same key.
     """
 
-    factors: tuple[IrreducibleSpace, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.factors:
+    def __new__(cls, factors: tuple[IrreducibleSpace, ...]) -> SpaceExpr:
+        if not factors:
             raise EmptyProduct("a space expression needs at least one factor")
         rewritten: list[IrreducibleSpace] = []
-        for f in self.factors:
+        for f in factors:
             if f.kind == "I":
                 k, s = f.params
                 rewritten.append(type_i(min(k, s - k), s))
@@ -160,7 +174,11 @@ class SpaceExpr:
             else:
                 rewritten.append(f)
         rewritten.sort(key=_sort_key)
-        object.__setattr__(self, "factors", tuple(rewritten))
+        return super().__new__(cls, tuple(rewritten))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> SpaceExpr:
+        return cls(*iterable)  # so that _replace() canonicalizes too
 
     @property
     def dimension(self) -> int:

@@ -6,6 +6,7 @@ from hssatlas import render
 from hssatlas.atlas import (
     CLAUSE_EXACT,
     CLAUSE_RANGE,
+    MAX_SCAN_ROWS,
     Refinement,
     RefinementTable,
     SBResult,
@@ -94,6 +95,16 @@ def test_report_exact_case(table):
     assert any("clause (i)" in c for c in rep.citations)
 
 
+def test_report_is_immutable(table):
+    rep = report(parse("I(2,5)"), table)
+    with pytest.raises(AttributeError):
+        rep.degree = 0
+    with pytest.raises(AttributeError):
+        rep.sb.lower = 0
+    with pytest.raises(AttributeError):
+        rep.extra = 1
+
+
 def test_report_small_parameter_warnings(table):
     rep = report(parse("III(2)"), table)
     assert rep.degree == 1
@@ -147,6 +158,36 @@ def test_table_from_lines_parses_sets_intervals_and_rule():
     assert table.lookup(parse("I(2,5)")).values == (7, 8, 9, 10)
     assert table.lookup(parse("CP(7)")).values == (8,)
     assert table.lookup(parse("IV(5)")) is None
+
+
+def test_lookup_takes_the_first_record_of_a_duplicated_key():
+    table = RefinementTable.from_lines(["I(2,5) | {7,8} | first; .", "I(3,5) | [9,10] | second; ."])
+    assert [entry.pattern for entry in table.entries] == ["I(2,5)", "I(2,5)"]
+    assert table.lookup(parse("I(2,5)")) == Refinement((7, 8), "first; .")
+
+
+def test_lookup_explicit_key_beats_the_projective_rule():
+    table = RefinementTable.from_lines(
+        [
+            "I(1,*) | n_plus_1 | rule; .",
+            "I(1,4) | {4,5} | explicit; .",
+            "I(1,*) | n_plus_1 | second rule; .",
+        ]
+    )
+    assert table.lookup(parse("CP(3)")) == Refinement((4, 5), "explicit; .")
+    assert table.lookup(parse("CP(5)")) == Refinement((6,), "rule; .")
+    assert table.lookup(parse("CP(1) x CP(1)")) is None
+
+
+def test_table_index_is_derived_from_the_entries_and_read_only():
+    table = RefinementTable.from_lines(["I(1,*) | n_plus_1 | rule; .", "I(2,4) | {5,6} | c; ."])
+    assert dict(table.by_key) == {"I(2,4)": table.entries[1]}
+    assert table.rule == table.entries[0]
+    with pytest.raises(TypeError):
+        table.by_key["IV(5)"] = table.entries[1]
+    rebuilt = RefinementTable(table.entries)
+    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert table._replace(entries=table.entries[1:]).rule is None
 
 
 def test_table_canonicalizes_explicit_keys():
@@ -340,3 +381,11 @@ def test_scan_parameter_validation():
         threshold_scan("I", 2, 10, k=2)  # I(2,2) is not a space
     with pytest.raises(InvalidParams):
         threshold_scan("II", 1, 4)  # II(1) is not a space
+
+
+def test_scan_row_count_is_bounded_before_the_first_row():
+    assert len(threshold_scan("IV", 3, MAX_SCAN_ROWS + 2).rows) == MAX_SCAN_ROWS
+    with pytest.raises(InvalidParams, match=f"has {MAX_SCAN_ROWS + 1} rows; at most {MAX_SCAN_ROWS}"):
+        threshold_scan("IV", 3, MAX_SCAN_ROWS + 3)
+    with pytest.raises(InvalidParams, match="at most"):
+        threshold_scan("II", 2, 10**9)  # would take hours row by row

@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -156,6 +158,14 @@ def test_table_rejects_bad_family_and_range(capsys):
     assert run(capsys, "table", "I:k=x", "2..5")[0] == 2
     assert run(capsys, "table", "II", "2-5")[0] == 2
     assert run(capsys, "table", "II", "5..2")[0] == 2
+
+
+def test_table_rejects_an_overlong_range_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", "IV", "1..100000000")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("InvalidParams: ") and err.count("\n") == 1
 
 
 def test_missing_refinement_file_is_a_usage_error(capsys):
@@ -362,3 +372,21 @@ def test_every_readme_cli_example_succeeds(capsys):
         code, out, err = run(capsys, *argv[1:])
         assert (code, err) == (0, ""), argv
         assert out
+
+
+# --- start-up ----------------------------------------------------------------
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages start-up hooks out of sys.modules
+    src = Path(cli.__file__).resolve().parent.parent
+    probe = "import sys, hssatlas.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert proc.stdout == "[]\n"

@@ -145,3 +145,14 @@ def test_run_checks_counts_and_expected_verdicts():
     assert len(result.diagnostics) == 6
     assert result.unexpected == 0
     assert result.ok
+
+
+def test_shape_is_immutable_and_replace_validates():
+    shape = RectShape(2, 3)
+    with pytest.raises(AttributeError):
+        shape.rows = 4
+    with pytest.raises(AttributeError):
+        shape.extra = 1
+    assert shape._replace(cols=5) == RectShape(2, 5)
+    with pytest.raises(ValueError):
+        shape._replace(cols=0)

@@ -223,3 +223,44 @@ def test_type_i_dimension_duality():
 @given(a=space_exprs, b=space_exprs)
 def test_dimension_is_additive_over_products(a, b):
     assert SpaceExpr(a.factors + b.factors).dimension == a.dimension + b.dimension
+
+
+# --- value semantics -------------------------------------------------------
+
+
+def test_spellings_of_one_product_are_equal_and_hash_equal():
+    a, b = parse("I(3,5) x CP(1)"), parse("I(1,2) x I(2,5)")
+    assert a == b and hash(a) == hash(b)
+    assert {a, b, SpaceExpr((type_i(3, 5), type_i(1, 2)))} == {a}
+
+
+def test_spaces_compare_by_value_like_plain_tuples():
+    assert type_i(2, 5) == ("I", (2, 5))
+    assert parse("II(3)") == ((type_ii(3),),)
+
+
+def test_repr_names_the_class_and_every_field():
+    assert repr(type_iv(3)) == "IrreducibleSpace(kind='IV', params=(3,))"
+    assert repr(parse("I(3,5) x CP(1)")) == (
+        "SpaceExpr(factors=(IrreducibleSpace(kind='I', params=(1, 2)), "
+        "IrreducibleSpace(kind='I', params=(2, 5))))"
+    )
+
+
+def test_spaces_are_immutable():
+    expr = parse("I(2,5)")
+    with pytest.raises(AttributeError):
+        expr.factors = (type_ii(3),)
+    with pytest.raises(AttributeError):
+        expr.extra = 1
+    with pytest.raises(AttributeError):
+        expr.factors[0].params = (1, 5)
+
+
+def test_replace_validates_and_canonicalizes():
+    expr = parse("II(3)")
+    assert expr._replace(factors=(type_i(3, 5), type_iv(1))) == parse("I(1,2) x I(2,5)")
+    with pytest.raises(EmptyProduct):
+        expr._replace(factors=())
+    with pytest.raises(InvalidParams):
+        type_i(2, 5)._replace(params=(0, 5))
