@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
-from .spaces import InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
+from .spaces import LEAST_PARAM, InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
 
 CLAUSE_EXACT = "Thm1(i)"
 CLAUSE_RANGE = "Thm1(ii)"
@@ -53,6 +53,11 @@ class SBResult(NamedTuple):
     lower: int | None = None
     upper: int | None = None
     refinement: Refinement | None = None
+
+    @property
+    def clause(self) -> str:
+        """The theorem clause that gave this result."""
+        return CLAUSE_EXACT if self.kind == "Exact" else CLAUSE_RANGE
 
     @staticmethod
     def exact(value: int) -> "SBResult":
@@ -286,7 +291,6 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
 def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     """Full invariant report for one (product) space."""
     sb = classify(space, table)
-    case = CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE
     citations = [
         _DEGREE_CITATIONS[kind]
         for kind in ("I", "II", "III", "IV")
@@ -295,7 +299,7 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     if len(space.factors) > 1:
         citations.append(_PRODUCT_CITATION)
     citations.append(_GAMMA_CITATION)
-    citations.append(_CLAUSE_CITATIONS[case])
+    citations.append(_CLAUSE_CITATIONS[sb.clause])
     return Report(
         space=space.render(),
         n=space.dimension,
@@ -305,7 +309,7 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
         volume=volume_units(space),
         gromov_width_units=gromov_width_units(space),
         sb=sb,
-        case=case,
+        case=sb.clause,
         warnings=_warnings_for(space),
         citations=tuple(citations),
     )
@@ -351,7 +355,9 @@ def threshold_scan(
 
     ``first_exact`` is the least parameter from which the exact clause
     fires and keeps firing through the end of the range (None if the
-    final row is still a bracket).  A range of more than
+    final row is still a bracket).  An unknown family, a missing or
+    non-positive k for I or a k for any other family, a range that
+    starts below the family's least parameter or one of more than
     ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
     """
     if family not in _FAMILIES:
@@ -359,6 +365,8 @@ def threshold_scan(
     if family == "I":
         if k is None:
             raise InvalidParams("family I needs a fixed k (write the family as 'I:k=2')")
+        if k < 1:
+            raise InvalidParams(f"family I needs k >= 1, got k={k}")
         label = f"I(k={k})"
     else:
         if k is not None:
@@ -366,6 +374,11 @@ def threshold_scan(
         label = family
     if start > stop:
         raise InvalidParams(f"empty range {start}..{stop}")
+    least = k + 1 if family == "I" else LEAST_PARAM[family]
+    if start < least:
+        raise InvalidParams(
+            f"range {start}..{stop} starts below {least}, the first valid parameter of {label}"
+        )
     if stop - start >= MAX_SCAN_ROWS:
         raise InvalidParams(
             f"range {start}..{stop} has {stop - start + 1} rows; at most {MAX_SCAN_ROWS} are allowed"
@@ -377,15 +390,7 @@ def threshold_scan(
         space = SpaceExpr((atom,))
         d = degree(space)
         sb = _classify(space, d, table)
-        rows.append(
-            ScanRow(
-                param=s,
-                n=space.dimension,
-                degree=d,
-                sb=sb,
-                clause=CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE,
-            )
-        )
+        rows.append(ScanRow(param=s, n=space.dimension, degree=d, sb=sb, clause=sb.clause))
 
     first_exact = None
     for row in reversed(rows):

@@ -28,19 +28,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_options(p: argparse.ArgumentParser, refinements: bool = True) -> None:
+    def add_output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="human")
-        if refinements:
-            p.add_argument(
-                "--refinements",
-                metavar="PATH",
-                help="refinement table file (overrides the ATLAS_REFINEMENTS variable)",
-            )
-            p.add_argument(
-                "--no-refinements",
-                action="store_true",
-                help="classify from the theorem alone, without the literature overlay",
-            )
+        p.add_argument(
+            "--refinements",
+            metavar="PATH",
+            help="refinement table file (overrides the ATLAS_REFINEMENTS variable)",
+        )
+        p.add_argument(
+            "--no-refinements",
+            action="store_true",
+            help="classify from the theorem alone, without the literature overlay",
+        )
 
     p = sub.add_parser("compute", help="full invariant report for one space expression")
     p.add_argument("expr", help="e.g. 'I(2,4)', 'CP(3)', 'II(6)', 'CP(1) x CP(2)'")
@@ -58,16 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_family(text: str) -> tuple[str, int | None]:
-    if text in ("II", "III", "IV"):
-        return text, None
-    if text.startswith("I:k="):
-        try:
-            return "I", int(text[len("I:k=") :])
-        except ValueError:
-            raise InvalidParams(f"bad family {text!r}: k must be an integer") from None
-    if text == "I":
-        raise InvalidParams("family I needs a fixed k: write it as 'I:k=2'")
-    raise InvalidParams(f"unknown family {text!r} (expected 'I:k=<int>', 'II', 'III' or 'IV')")
+    """'I:k=2' -> ('I', 2), 'II' -> ('II', None); threshold_scan checks both."""
+    family, sep, k_text = text.partition(":k=")
+    if not sep:
+        return family, None
+    try:
+        return family, int(k_text)
+    except ValueError:
+        raise InvalidParams(f"bad family {text!r}: k must be an integer") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:

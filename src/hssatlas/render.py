@@ -2,8 +2,11 @@
 
 Four formats: human (aligned text), json (stable keys, every exact
 integer as a decimal string so arbitrarily large degrees survive any
-consumer), csv, latex.  All renderers are deterministic: the same value
-always produces the same bytes.
+consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
+comes from one writer (``_csv``) and every LaTeX table, with its
+footnotes, from one frame (``_tabular``); the cells of a result kind
+are built once and shared by its formats.  All renderers are
+deterministic: the same value always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import oracle
 from .atlas import Report, SBResult, ScanResult
@@ -34,15 +37,42 @@ def latex_escape(text: str) -> str:
     return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
 
 
-def _csv_text(rows: Iterable[Iterable[object]]) -> str:
+def _csv(header: Iterable[str], rows: Iterable[Iterable[object]], notes: Iterable[str] = ()) -> str:
+    """A header, the rows (None writes as an empty field), then one
+    '# note:' line per note."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(list(row))
+    writer.writerow(header)
+    writer.writerows(rows)
+    buffer.writelines(f"# note: {note}\n" for note in notes)
     return buffer.getvalue().rstrip("\n")
 
 
+def _tabular(
+    spec: str,
+    rows: Iterable[Sequence[str]],
+    header: Sequence[str] | None = None,
+    notes: Iterable[str] = (),
+    note_label: str = "note",
+) -> str:
+    """A ruled tabular of already-escaped cells, then one footnote line
+    per note."""
+    lines = [r"\begin{tabular}{" + spec + "}", r"\hline"]
+    if header is not None:
+        lines += [" & ".join(header) + r" \\", r"\hline"]
+    lines += [" & ".join(row) + r" \\" for row in rows]
+    lines += [r"\hline", r"\end{tabular}"]
+    for note in notes:
+        lines.append(rf"\par\noindent{{\footnotesize {note_label}: {latex_escape(note)}}}")
+    return "\n".join(lines)
+
+
 # --- S_B helpers -----------------------------------------------------------
+
+
+def _braced(values: Iterable[int]) -> str:
+    """'{5,6}': a refined value set in table cells."""
+    return "{" + ",".join(str(v) for v in values) + "}"
 
 
 def sb_to_obj(sb: SBResult) -> dict:
@@ -75,7 +105,7 @@ def sb_cell(sb: SBResult) -> str:
         return str(sb.value)
     cell = f"[{sb.lower},{sb.upper}]"
     if sb.refinement is not None:
-        cell += "{" + ",".join(str(v) for v in sb.refinement.values) + "}"
+        cell += _braced(sb.refinement.values)
     return cell
 
 
@@ -103,79 +133,57 @@ def render_report_json(report: Report) -> str:
 
 
 def render_report_human(report: Report) -> str:
-    lines = [
-        f"space:          {report.space}",
-        f"complex dim:    n = {report.n}   (2n = {report.two_n})",
-        f"rank:           {report.rank}",
-        f"degree:         {report.degree}",
-        f"gamma:          {report.gamma}",
-        f"volume:         {report.volume.render()}",
-        f"Gromov width:   {report.gromov_width_units}·π",
-        f"clause:         {report.case}",
+    sb = report.sb
+    fields: list[tuple[str, object]] = [
+        ("space", report.space),
+        ("complex dim", f"n = {report.n}   (2n = {report.two_n})"),
+        ("rank", report.rank),
+        ("degree", report.degree),
+        ("gamma", report.gamma),
+        ("volume", report.volume.render()),
+        ("Gromov width", f"{report.gromov_width_units}·π"),
+        ("clause", report.case),
     ]
-    if report.sb.kind == "Range":
-        lines.append(
-            f"bounds:         max(n+1, deg+1) = {report.sb.lower} <= S_B <= {report.sb.upper} = 2n+1"
-        )
-    for warning in report.warnings:
-        lines.append(f"warning:        {warning}")
+    if sb.kind == "Range":
+        fields.append(("bounds", f"max(n+1, deg+1) = {sb.lower} <= S_B <= {sb.upper} = 2n+1"))
+    fields.extend(("warning", warning) for warning in report.warnings)
+    lines = [f"{label + ':':<16}{value}" for label, value in fields]
     lines.append("citations:")
-    for citation in report.citations:
-        lines.append(f"  - {citation}")
-    lines.append(sb_human(report.sb))
+    lines.extend(f"  - {citation}" for citation in report.citations)
+    lines.append(sb_human(sb))
     return "\n".join(lines)
-
-
-_REPORT_CSV_COLUMNS = (
-    "space",
-    "n",
-    "rank",
-    "degree",
-    "gamma",
-    "volume_units",
-    "gromov_width_units",
-    "sb_kind",
-    "sb_value",
-    "sb_lower",
-    "sb_upper",
-    "sb_refined",
-    "case",
-    "warnings",
-)
 
 
 def render_report_csv(report: Report) -> str:
     sb = report.sb
-    refined = ""
-    if sb.refinement is not None:
-        refined = "{" + ",".join(str(v) for v in sb.refinement.values) + "}"
-    row = (
-        report.space,
-        report.n,
-        report.rank,
-        report.degree,
-        report.gamma,
-        report.volume.units,
-        report.gromov_width_units,
-        sb.kind,
-        "" if sb.value is None else sb.value,
-        "" if sb.lower is None else sb.lower,
-        "" if sb.upper is None else sb.upper,
-        refined,
-        report.case,
-        "; ".join(report.warnings),
-    )
-    return _csv_text([_REPORT_CSV_COLUMNS, row])
+    columns = {
+        "space": report.space,
+        "n": report.n,
+        "rank": report.rank,
+        "degree": report.degree,
+        "gamma": report.gamma,
+        "volume_units": report.volume.units,
+        "gromov_width_units": report.gromov_width_units,
+        "sb_kind": sb.kind,
+        "sb_value": sb.value,
+        "sb_lower": sb.lower,
+        "sb_upper": sb.upper,
+        "sb_refined": None if sb.refinement is None else _braced(sb.refinement.values),
+        "case": report.case,
+        "warnings": "; ".join(report.warnings),
+    }
+    return _csv(columns, [columns.values()])
 
 
 def render_report_latex(report: Report) -> str:
-    if report.sb.kind == "Exact":
-        sb_tex = f"$S_B = {report.sb.value}$"
-    elif report.sb.refinement is None:
-        sb_tex = f"$S_B \\in [{report.sb.lower}, {report.sb.upper}]$"
+    sb = report.sb
+    if sb.kind == "Exact":
+        sb_tex = f"$S_B = {sb.value}$"
+    elif sb.refinement is None:
+        sb_tex = f"$S_B \\in [{sb.lower}, {sb.upper}]$"
     else:
-        joined = ",".join(str(v) for v in report.sb.refinement.values)
-        sb_tex = f"$S_B \\in \\{{{joined}\\}} \\subset [{report.sb.lower}, {report.sb.upper}]$"
+        refined = latex_escape(_braced(sb.refinement.values))
+        sb_tex = f"$S_B \\in {refined} \\subset [{sb.lower}, {sb.upper}]$"
     rows = [
         ("space", latex_escape(report.space)),
         ("$n$", str(report.n)),
@@ -187,12 +195,7 @@ def render_report_latex(report: Report) -> str:
         ("clause", latex_escape(report.case)),
         ("$S_B$", sb_tex),
     ]
-    lines = [r"\begin{tabular}{ll}", r"\hline"]
-    lines.extend(f"{name} & {value} \\\\" for name, value in rows)
-    lines.extend([r"\hline", r"\end{tabular}"])
-    for warning in report.warnings:
-        lines.append(r"\par\noindent{\footnotesize warning: " + latex_escape(warning) + "}")
-    return "\n".join(lines)
+    return _tabular("ll", rows, notes=report.warnings, note_label="warning")
 
 
 # --- threshold scans -------------------------------------------------------
@@ -216,55 +219,43 @@ def scan_to_obj(scan: ScanResult) -> dict:
     }
 
 
+def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
+    """One row of text cells per scan row: param, n, degree, S_B, clause."""
+    return [
+        (str(row.param), str(row.n), str(row.degree), sb_cell(row.sb), row.clause)
+        for row in scan.rows
+    ]
+
+
 def render_scan_json(scan: ScanResult) -> str:
     return json.dumps(scan_to_obj(scan), indent=2)
 
 
 def render_scan_human(scan: ScanResult) -> str:
-    header = ("s", "n", "degree", "S_B", "clause")
-    body = [
-        (str(row.param), str(row.n), str(row.degree), sb_cell(row.sb), row.clause)
-        for row in scan.rows
-    ]
-    widths = [max(len(line[i]) for line in (header, *body)) for i in range(len(header))]
+    table = [("s", "n", "degree", "S_B", "clause"), *_scan_cells(scan)]
+    widths = [max(map(len, column)) for column in zip(*table)]
     lines = [f"family {scan.family}"]
-    for cells in (header, *body):
+    for cells in table:
         padded = [
-            cells[i].rjust(widths[i]) if i < 3 else cells[i].ljust(widths[i])
-            for i in range(len(cells))
+            cell.rjust(width) if i < 3 else cell.ljust(width)
+            for i, (cell, width) in enumerate(zip(cells, widths))
         ]
         lines.append("  " + "  ".join(padded).rstrip())
-    for note in scan.footnotes:
-        lines.append(f"note: {note}")
+    lines.extend(f"note: {note}" for note in scan.footnotes)
     return "\n".join(lines)
 
 
 def render_scan_csv(scan: ScanResult) -> str:
-    rows: list[tuple] = [("param", "n", "degree", "sb", "clause")]
-    rows.extend(
-        (row.param, row.n, row.degree, sb_cell(row.sb), row.clause) for row in scan.rows
-    )
-    text = _csv_text(rows)
-    notes = "".join(f"\n# note: {note}" for note in scan.footnotes)
-    return text + notes
+    return _csv(("param", "n", "degree", "sb", "clause"), _scan_cells(scan), scan.footnotes)
 
 
 def render_scan_latex(scan: ScanResult) -> str:
-    lines = [
-        r"\begin{tabular}{rrrll}",
-        r"\hline",
-        r"$s$ & $n$ & degree & $S_B$ & clause \\",
-        r"\hline",
+    rows = [
+        (s, n, d, latex_escape(sb), latex_escape(clause))
+        for s, n, d, sb, clause in _scan_cells(scan)
     ]
-    for row in scan.rows:
-        lines.append(
-            f"{row.param} & {row.n} & {row.degree} & "
-            f"{latex_escape(sb_cell(row.sb))} & {latex_escape(row.clause)} \\\\"
-        )
-    lines.extend([r"\hline", r"\end{tabular}"])
-    for note in scan.footnotes:
-        lines.append(r"\par\noindent{\footnotesize note: " + latex_escape(note) + "}")
-    return "\n".join(lines)
+    header = ("$s$", "$n$", "degree", "$S_B$", "clause")
+    return _tabular("rrrll", rows, header, scan.footnotes)
 
 
 # --- cross-checks ----------------------------------------------------------
@@ -320,26 +311,19 @@ def render_check_json(result: CheckResult) -> str:
 
 
 def render_check_csv(result: CheckResult) -> str:
-    rows: list[tuple] = [("left", "right", "dims_match", "degree_left", "degree_right", "verdict")]
-    rows.extend(
-        (d.left, d.right, d.dims_match, d.degree_left, d.degree_right, d.verdict)
-        for d in result.diagnostics
-    )
-    return _csv_text(rows)
+    return _csv(Diagnostic._fields, (diagnostic_to_obj(d).values() for d in result.diagnostics))
 
 
 def render_check_latex(result: CheckResult) -> str:
-    lines = [
-        r"\begin{tabular}{llrrl}",
-        r"\hline",
-        r"pair & dims agree & deg (left) & deg (right) & verdict \\",
-        r"\hline",
-    ]
-    for d in result.diagnostics:
-        pair = latex_escape(f"{d.left} vs {d.right}")
-        lines.append(
-            f"{pair} & {'yes' if d.dims_match else 'no'} & "
-            f"{d.degree_left} & {d.degree_right} & {d.verdict} \\\\"
+    rows = [
+        (
+            latex_escape(f"{d.left} vs {d.right}"),
+            "yes" if d.dims_match else "no",
+            str(d.degree_left),
+            str(d.degree_right),
+            d.verdict,
         )
-    lines.extend([r"\hline", r"\end{tabular}"])
-    return "\n".join(lines)
+        for d in result.diagnostics
+    ]
+    header = ("pair", "dims agree", "deg (left)", "deg (right)", "verdict")
+    return _tabular("llrrl", rows, header)

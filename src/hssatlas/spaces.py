@@ -43,6 +43,11 @@ class EmptyProduct(ValueError):
     """A space expression needs at least one factor."""
 
 
+# The least parameter s of each one-parameter family; type I(k, s)
+# needs s >= k + 1.
+LEAST_PARAM = {"II": 2, "III": 1, "IV": 1}
+
+
 class _IrreducibleFields(NamedTuple):
     kind: str
     params: tuple[int, ...]
@@ -66,11 +71,11 @@ class IrreducibleSpace(_IrreducibleFields):
                 raise InvalidParams(
                     f"type I requires 1 <= k <= s-1 and s >= 2, got k={k}, s={s}"
                 )
-        elif kind in ("II", "III", "IV"):
+        elif kind in LEAST_PARAM:
             if len(params) != 1:
                 raise InvalidParams(f"type {kind} takes (s,), got {params}")
             (s,) = params
-            least = 2 if kind == "II" else 1
+            least = LEAST_PARAM[kind]
             if s < least:
                 raise InvalidParams(f"type {kind} requires s >= {least}, got s={s}")
         else:

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from hssatlas import render
+from hssatlas import atlas, render
 from hssatlas.atlas import (
     CLAUSE_EXACT,
     CLAUSE_RANGE,
@@ -381,6 +381,32 @@ def test_scan_parameter_validation():
         threshold_scan("I", 2, 10, k=2)  # I(2,2) is not a space
     with pytest.raises(InvalidParams):
         threshold_scan("II", 1, 4)  # II(1) is not a space
+
+
+@pytest.mark.parametrize(
+    "family,k,least,label",
+    [
+        ("I", 1, 2, "I(k=1)"),
+        ("I", 2, 3, "I(k=2)"),
+        ("II", None, 2, "II"),
+        ("III", None, 1, "III"),
+        ("IV", None, 1, "IV"),
+    ],
+)
+def test_scan_low_start_names_the_first_valid_parameter(monkeypatch, family, k, least, label):
+    assert threshold_scan(family, least, least + 2, k=k).rows[0].param == least
+    monkeypatch.setattr(atlas, "degree", None)  # the check comes before the first row
+    with pytest.raises(InvalidParams) as excinfo:
+        threshold_scan(family, least - 1, least + 2, k=k)
+    assert str(excinfo.value) == (
+        f"range {least - 1}..{least + 2} starts below {least}, the first valid parameter of {label}"
+    )
+
+
+def test_scan_rejects_a_non_positive_k():
+    for k in (0, -3):
+        with pytest.raises(InvalidParams, match=f"^family I needs k >= 1, got k={k}$"):
+            threshold_scan("I", 1, 5, k=k)
 
 
 def test_scan_row_count_is_bounded_before_the_first_row():

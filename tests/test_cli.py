@@ -153,11 +153,16 @@ def test_compute_rejects_oversized_and_non_ascii_input(capsys, expr, expected):
 
 
 def test_table_rejects_bad_family_and_range(capsys):
-    assert run(capsys, "table", "V", "2..5")[0] == 2
-    assert run(capsys, "table", "I", "2..5")[0] == 2  # k missing
-    assert run(capsys, "table", "I:k=x", "2..5")[0] == 2
-    assert run(capsys, "table", "II", "2-5")[0] == 2
-    assert run(capsys, "table", "II", "5..2")[0] == 2
+    for family, span, message in [
+        ("V", "2..5", "unknown family 'V' (expected one of I, II, III, IV)"),
+        ("I", "2..5", "family I needs a fixed k (write the family as 'I:k=2')"),  # k missing
+        ("I:k=x", "2..5", "bad family 'I:k=x': k must be an integer"),
+        ("II", "2-5", "range must look like 'a..b', got '2-5'"),
+        ("II", "5..2", "empty range 5..2"),
+        ("II:k=3", "2..5", "only family I takes a k parameter"),
+        ("I:k=2", "2..14", "range 2..14 starts below 3, the first valid parameter of I(k=2)"),
+    ]:
+        assert run(capsys, "table", family, span) == (2, "", f"InvalidParams: {message}\n")
 
 
 def test_table_rejects_an_overlong_range_at_once(capsys):

@@ -1,0 +1,64 @@
+"""Byte-exact goldens for report and scan output in all four formats.
+
+Each file under ``tests/golden/`` holds the stdout bytes that
+``hssatlas compute`` or ``hssatlas table`` prints for one case and one
+format (the renderer's text plus the final newline).  The cases cover
+every shape of S_B cell: refined from an interval, the projective rule,
+a bare bracket, an exact value, plus a warning, a product and both scan
+footnotes.  A golden changes only with an intended, stated byte change.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from hssatlas import render
+from hssatlas.atlas import CLAUSE_EXACT, CLAUSE_RANGE, RefinementTable, report, threshold_scan
+from hssatlas.spaces import parse
+
+GOLDEN = Path(__file__).with_name("golden")
+FORMATS = ("human", "json", "csv", "latex")
+BUILTIN = RefinementTable.builtin()
+
+REPORTS = {
+    "report_I_2_5": ("I(2,5)", BUILTIN),  # refined from an interval
+    "report_CP_3": ("CP(3)", BUILTIN),  # projective rule, one value
+    "report_I_2_4_no_table": ("I(2,4)", None),  # bare bracket
+    "report_III_2": ("III(2)", BUILTIN),  # warning
+    "report_II_6": ("II(6)", BUILTIN),  # exact
+    "report_CP_1_x_CP_2": ("CP(1) x CP(2)", BUILTIN),  # product
+}
+
+SCANS = {
+    "scan_III_1_6": ("III", 1, 6, None),  # type III footnote
+    "scan_I_k2_3_8": ("I", 3, 8, 2),  # refined cells
+}
+
+
+def _assert_golden(name: str, fmt: str, text: str) -> None:
+    assert (text + "\n").encode() == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_bytes(name, fmt):
+    expr, table = REPORTS[name]
+    rep = report(parse(expr), table)
+    _assert_golden(name, fmt, getattr(render, f"render_report_{fmt}")(rep))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(SCANS))
+def test_scan_bytes(name, fmt):
+    family, start, stop, k = SCANS[name]
+    scan = threshold_scan(family, start, stop, k=k, table=BUILTIN)
+    _assert_golden(name, fmt, getattr(render, f"render_scan_{fmt}")(scan))
+
+
+@pytest.mark.parametrize("expr,clause", [("II(6)", CLAUSE_EXACT), ("I(2,5)", CLAUSE_RANGE)])
+def test_sb_clause_is_the_report_case_and_the_scan_clause(expr, clause):
+    rep = report(parse(expr), BUILTIN)
+    assert rep.sb.clause == rep.case == clause
+    scan = threshold_scan("I", 3, 8, k=2, table=BUILTIN)
+    rows = [row for row in scan.rows if row.sb.kind == rep.sb.kind]
+    assert rows and all(row.sb.clause == row.clause == clause for row in rows)
