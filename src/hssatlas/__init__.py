@@ -5,112 +5,42 @@ sugar), then compute -- all in exact integer arithmetic -- the degree of
 its canonical projective embedding, its normalized symplectic volume,
 its Gamma invariant, and the resulting classification of the minimal
 number of Darboux charts S_B.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first use (PEP 562), so a process pays
+only for the modules it touches.
 """
 
-from .arith import (
-    FactorialRatio,
-    NonIntegralRatio,
-    eval_ratio_direct,
-    eval_ratio_legendre,
-    factorial,
-)
-from .atlas import (
-    CLAUSE_EXACT,
-    CLAUSE_RANGE,
-    MAX_SCAN_ROWS,
-    Refinement,
-    RefinementEntry,
-    RefinementTable,
-    Report,
-    SBResult,
-    ScanResult,
-    ScanRow,
-    classify,
-    report,
-    threshold_scan,
-)
-from .invariants import (
-    NormalizedVolume,
-    degree,
-    degree_irreducible,
-    degree_ratio,
-    gamma,
-    gromov_width_units,
-    multinomial_ratio,
-    volume_units,
-)
-from .oracle import (
-    BRUTE_FORCE_CELL_LIMIT,
-    Diagnostic,
-    ISOMORPHISM_PAIRS,
-    RectShape,
-    ShapeTooLarge,
-    check_type_i_degree,
-    count_syt_bruteforce,
-    count_syt_hook,
-    isomorphism_diagnostics,
-)
-from .spaces import (
-    EmptyProduct,
-    InvalidParams,
-    IrreducibleSpace,
-    SpaceExpr,
-    SpaceSyntaxError,
-    parse,
-    projective_space,
-    type_i,
-    type_ii,
-    type_iii,
-    type_iv,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BRUTE_FORCE_CELL_LIMIT",
-    "CLAUSE_EXACT",
-    "CLAUSE_RANGE",
-    "Diagnostic",
-    "EmptyProduct",
-    "FactorialRatio",
-    "ISOMORPHISM_PAIRS",
-    "InvalidParams",
-    "IrreducibleSpace",
-    "MAX_SCAN_ROWS",
-    "NonIntegralRatio",
-    "NormalizedVolume",
-    "RectShape",
-    "Refinement",
-    "RefinementEntry",
-    "RefinementTable",
-    "Report",
-    "SBResult",
-    "ScanResult",
-    "ScanRow",
-    "ShapeTooLarge",
-    "SpaceExpr",
-    "SpaceSyntaxError",
-    "check_type_i_degree",
-    "classify",
-    "count_syt_bruteforce",
-    "count_syt_hook",
-    "degree",
-    "degree_irreducible",
-    "degree_ratio",
-    "eval_ratio_direct",
-    "eval_ratio_legendre",
-    "factorial",
-    "gamma",
-    "gromov_width_units",
-    "isomorphism_diagnostics",
-    "multinomial_ratio",
-    "parse",
-    "projective_space",
-    "report",
-    "threshold_scan",
-    "type_i",
-    "type_ii",
-    "type_iii",
-    "type_iv",
-    "volume_units",
-]
+# The public API: each name and the module that defines it.
+_HOME = {
+    name: module
+    for module, names in {
+        "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre factorial",
+        "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementEntry RefinementTable "
+        "Report SBResult ScanResult ScanRow classify report threshold_scan",
+        "invariants": "NormalizedVolume degree degree_irreducible degree_ratio gamma gromov_width_units "
+        "multinomial_ratio volume_units",
+        "oracle": "BRUTE_FORCE_CELL_LIMIT Diagnostic ISOMORPHISM_PAIRS RectShape ShapeTooLarge "
+        "check_type_i_degree count_syt_bruteforce count_syt_hook isomorphism_diagnostics",
+        "spaces": "EmptyProduct InvalidParams IrreducibleSpace SpaceExpr SpaceSyntaxError parse "
+        "projective_space type_i type_ii type_iii type_iv",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
-from .spaces import LEAST_PARAM, InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
+from .spaces import LEAST_PARAM, InvalidParams, IrreducibleSpace, SpaceExpr, parse, read_int, type_i
 
 CLAUSE_EXACT = "Thm1(i)"
 CLAUSE_RANGE = "Thm1(ii)"
@@ -90,10 +90,10 @@ def _parse_values_spec(spec: str) -> tuple[tuple[int, ...] | range | None, str |
         body = spec[1:-1]
         if not body.strip():
             raise ValueError("empty value set")
-        return tuple(sorted({int(v) for v in body.split(",")})), None
+        return tuple(sorted({read_int(v) for v in body.split(",")})), None
     if spec.startswith("[") and spec.endswith("]"):
         lo_text, _, hi_text = spec[1:-1].partition(",")
-        lo, hi = int(lo_text), int(hi_text)
+        lo, hi = read_int(lo_text), read_int(hi_text)
         if hi < lo:
             raise ValueError(f"empty interval [{lo},{hi}]")
         return range(lo, hi + 1), None

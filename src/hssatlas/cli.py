@@ -14,8 +14,7 @@ from typing import Sequence
 from . import render
 from .arith import NonIntegralRatio
 from .atlas import RefinementTable, report, threshold_scan
-from .oracle import run_checks
-from .spaces import EmptyProduct, InvalidParams, SpaceSyntaxError, parse
+from .spaces import EmptyProduct, InvalidParams, SpaceSyntaxError, parse, read_int
 
 FORMATS = ("human", "json", "csv", "latex")
 
@@ -62,7 +61,7 @@ def _parse_family(text: str) -> tuple[str, int | None]:
     if not sep:
         return family, None
     try:
-        return family, int(k_text)
+        return family, read_int(k_text)
     except ValueError:
         raise InvalidParams(f"bad family {text!r}: k must be an integer") from None
 
@@ -71,7 +70,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     lo_text, sep, hi_text = text.partition("..")
     if sep:
         try:
-            return int(lo_text), int(hi_text)
+            return read_int(lo_text), read_int(hi_text)
         except ValueError:
             pass
     raise InvalidParams(f"range must look like 'a..b', got {text!r}")
@@ -94,6 +93,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             start, stop = _parse_range(args.range)
             kind, result = "scan", threshold_scan(family, start, stop, k=k, table=_load_table(args))
         else:
+            from .oracle import run_checks  # only this command loads the oracles
+
             kind, result = "check", run_checks()
         print(getattr(render, f"render_{kind}_{args.format}")(result))
     except (SpaceSyntaxError, InvalidParams, EmptyProduct) as exc:

@@ -5,20 +5,21 @@ integer as a decimal string so arbitrarily large degrees survive any
 consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
 comes from one writer (``_csv``) and every LaTeX table, with its
 footnotes, from one frame (``_tabular``); the cells of a result kind
-are built once and shared by its formats.  All renderers are
-deterministic: the same value always produces the same bytes.
+are built once and shared by its formats.  ``json``, ``csv`` and the
+oracle module are imported only by the renderers that use them, so a
+process loads them only for the formats and commands it runs.  All
+renderers are deterministic: the same value always produces the same
+bytes.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from . import oracle
 from .atlas import Report, SBResult, ScanResult
-from .oracle import CheckResult, Diagnostic, is_expected
+
+if TYPE_CHECKING:
+    from .oracle import CheckResult, Diagnostic
 
 _LATEX_SPECIALS = {
     "&": r"\&",
@@ -37,9 +38,18 @@ def latex_escape(text: str) -> str:
     return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
 
 
+def _json(obj: object) -> str:
+    import json
+
+    return json.dumps(obj, indent=2)
+
+
 def _csv(header: Iterable[str], rows: Iterable[Iterable[object]], notes: Iterable[str] = ()) -> str:
     """A header, the rows (None writes as an empty field), then one
     '# note:' line per note."""
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -129,7 +139,7 @@ def report_to_obj(report: Report) -> dict:
 
 
 def render_report_json(report: Report) -> str:
-    return json.dumps(report_to_obj(report), indent=2)
+    return _json(report_to_obj(report))
 
 
 def render_report_human(report: Report) -> str:
@@ -228,7 +238,7 @@ def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
 
 
 def render_scan_json(scan: ScanResult) -> str:
-    return json.dumps(scan_to_obj(scan), indent=2)
+    return _json(scan_to_obj(scan))
 
 
 def render_scan_human(scan: ScanResult) -> str:
@@ -278,6 +288,8 @@ def _pair_label(left: str, right: str) -> str:
 
 
 def render_check_human(result: CheckResult) -> str:
+    from . import oracle
+
     arith_status = "OK" if not result.ratios_failed else f"{result.ratios_failed} FAILED"
     syt_status = "OK" if not result.syt_failed else f"{result.syt_failed} FAILED"
     lines = [
@@ -288,7 +300,7 @@ def render_check_human(result: CheckResult) -> str:
     for diag in result.diagnostics:
         note = ""
         if diag.verdict == "Mismatch":
-            note = " (expected)" if is_expected(diag) else " (UNEXPECTED)"
+            note = " (expected)" if oracle.is_expected(diag) else " (UNEXPECTED)"
         lines.append(
             f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
             f"degrees {diag.degree_left} vs {diag.degree_right}: {diag.verdict}{note}"
@@ -307,10 +319,12 @@ def render_check_human(result: CheckResult) -> str:
 
 
 def render_check_json(result: CheckResult) -> str:
-    return json.dumps([diagnostic_to_obj(d) for d in result.diagnostics], indent=2)
+    return _json([diagnostic_to_obj(d) for d in result.diagnostics])
 
 
 def render_check_csv(result: CheckResult) -> str:
+    from .oracle import Diagnostic
+
     return _csv(Diagnostic._fields, (diagnostic_to_obj(d).values() for d in result.diagnostics))
 
 

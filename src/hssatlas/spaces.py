@@ -208,6 +208,18 @@ def _check_factor_count(count: int) -> None:
         )
 
 
+def read_int(text: str) -> int:
+    """An optional '-' and ASCII digits, blanks around them allowed: the
+    parser's integer rule for the integers a user writes outside an
+    expression (a scan range, k, refinement values).  Unlike ``int()``,
+    it refuses other scripts' digits, '+' and '_'; raises ValueError."""
+    digits = text.strip()
+    unsigned = digits[1:] if digits.startswith("-") else digits
+    if not (unsigned.isascii() and unsigned.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text

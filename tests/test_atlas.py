@@ -231,9 +231,17 @@ def test_table_load_rejects_contradicting_values():
         assert str(excinfo.value) == f"t.txt:2: {message}"
 
 
+@pytest.mark.parametrize("spec,bad", [("{٧,8}", "٧"), ("{7, +8}", " +8"), ("[7,1_0]", "1_0")])
+def test_refinement_values_are_ascii_integers(spec, bad):
+    with pytest.raises(ValueError) as excinfo:
+        RefinementTable.from_lines([f"I(2,5) | {spec} | c; ."], source="t.txt")
+    assert str(excinfo.value) == f"t.txt:1: expected an integer, got {bad!r}"
+
+
 def test_set_duplicates_collapse():
     table = RefinementTable.from_lines(["I(2,5) | {8,7,8,7} | c; ."])
     assert table.entries[0].values == (7, 8)
+    assert RefinementTable.from_lines(["I(2,5) | { 8 , 7 } | c; ."]).entries[0].values == (7, 8)
     assert table.lookup(parse("I(2,5)")).values == (7, 8)
 
 

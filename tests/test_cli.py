@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -161,6 +162,11 @@ def test_table_rejects_bad_family_and_range(capsys):
         ("II", "5..2", "empty range 5..2"),
         ("II:k=3", "2..5", "only family I takes a k parameter"),
         ("I:k=2", "2..14", "range 2..14 starts below 3, the first valid parameter of I(k=2)"),
+        # integers are an optional '-' and ASCII digits, as in expressions
+        ("I:k=٢", "3..14", "bad family 'I:k=٢': k must be an integer"),
+        ("IV", "3..+5", "range must look like 'a..b', got '3..+5'"),
+        ("I:k=2", "3..1_4", "range must look like 'a..b', got '3..1_4'"),
+        ("III", "١..5", "range must look like 'a..b', got '١..5'"),
     ]:
         assert run(capsys, "table", family, span) == (2, "", f"InvalidParams: {message}\n")
 
@@ -185,6 +191,16 @@ def test_contradicting_refinement_file_is_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "compute", "I(2,4)", "--refinements", str(path))
     assert code == 2
     assert "contradicts" in err
+
+
+def test_non_ascii_refinement_value_is_rejected_with_its_line(capsys, tmp_path):
+    path = tmp_path / "digits.txt"
+    path.write_text("# header\nI(2,5) | {٧,8} | y\n", encoding="utf-8")
+    assert run(capsys, "compute", "I(2,5)", "--refinements", str(path)) == (
+        2,
+        "",
+        f"error: {path}:2: expected an integer, got '٧'\n",
+    )
 
 
 def test_duplicate_set_values_print_once(capsys, tmp_path):
@@ -381,17 +397,57 @@ def test_every_readme_cli_example_succeeds(capsys):
 
 # --- start-up ----------------------------------------------------------------
 
+# Stdlib modules that a process should load only for the formats that
+# need them (json, csv) or never (dataclasses, inspect).
+_WATCHED = ("json", "csv", "dataclasses", "inspect")
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site-packages start-up hooks out of sys.modules
+
+def _loaded_after(code: str, *argv: str) -> list[str]:
+    """The hssatlas submodules and watched modules loaded once ``code``
+    has run with ``argv`` in a fresh interpreter (-S keeps site-packages
+    start-up hooks out of sys.modules)."""
     src = Path(cli.__file__).resolve().parent.parent
-    probe = "import sys, hssatlas.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    probe = f"{code}\nprint(sorted(m for m in sys.modules if m.startswith('hssatlas.') or m in {_WATCHED}))"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", probe],
+        [sys.executable, "-S", "-c", "import sys\n" + probe, *argv],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=60,
-        check=True,
     )
-    assert proc.stdout == "[]\n"
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+_CLI_MODULES = [f"hssatlas.{name}" for name in ("arith", "atlas", "cli", "invariants", "render", "spaces")]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    loaded = _loaded_after("import hssatlas.cli")
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert loaded == _CLI_MODULES
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import hssatlas") == []
+
+
+@pytest.mark.parametrize(
+    "command,extra",
+    [
+        ("compute I(2,5)", ""),
+        ("compute I(2,5) --format latex", ""),
+        ("table III 1..10", ""),
+        ("table III 1..10 --format latex", ""),
+        ("compute I(2,5) --format json", "json"),
+        ("table III 1..10 --format json", "json"),
+        ("compute I(2,5) --format csv", "csv"),
+        ("table III 1..10 --format csv", "csv"),
+        ("check", "hssatlas.oracle"),
+        ("check --format json", "hssatlas.oracle json"),
+    ],
+    ids=lambda value: value or "nothing",
+)
+def test_each_command_loads_only_what_it_uses(command, extra):
+    loaded = _loaded_after("from hssatlas import cli\ncli.main(sys.argv[1:])", *command.split())
+    assert loaded == sorted(_CLI_MODULES + extra.split())

@@ -9,6 +9,7 @@ from hssatlas.spaces import (
     SpaceSyntaxError,
     parse,
     projective_space,
+    read_int,
     type_i,
     type_ii,
     type_iii,
@@ -123,6 +124,17 @@ def test_integers_are_ascii_digits_only(text, position):
     with pytest.raises(SpaceSyntaxError) as err:
         parse(text)
     assert err.value.position == position
+
+
+@pytest.mark.parametrize("text,value", [("5", 5), (" 5 ", 5), ("-3", -3), ("007", 7)])
+def test_read_int_takes_a_sign_and_ascii_digits(text, value):
+    assert read_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", " ", "-", "--5", "+5", "1_4", "٢", "5 5"])
+def test_read_int_refuses_anything_else(text):
+    with pytest.raises(ValueError, match="^expected an integer, got "):
+        read_int(text)
 
 
 @pytest.mark.parametrize(
