@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
-from .spaces import LEAST_PARAM, InvalidParams, IrreducibleSpace, SpaceExpr, parse, read_int, type_i
+from .spaces import FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, parse, read_int
 
 CLAUSE_EXACT = "Thm1(i)"
 CLAUSE_RANGE = "Thm1(ii)"
@@ -233,9 +233,12 @@ class Report(NamedTuple):
     volume: NormalizedVolume
     gromov_width_units: int
     sb: SBResult
-    case: str
     warnings: tuple[str, ...]
     citations: tuple[str, ...]
+
+    @property
+    def case(self) -> str:
+        return self.sb.clause
 
     @property
     def two_n(self) -> int:
@@ -291,11 +294,8 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
 def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     """Full invariant report for one (product) space."""
     sb = classify(space, table)
-    citations = [
-        _DEGREE_CITATIONS[kind]
-        for kind in ("I", "II", "III", "IV")
-        if any(f.kind == kind for f in space.factors)
-    ]
+    # factors are in canonical order, so the kinds come in FAMILIES order
+    citations = [_DEGREE_CITATIONS[kind] for kind in dict.fromkeys(f.kind for f in space.factors)]
     if len(space.factors) > 1:
         citations.append(_PRODUCT_CITATION)
     citations.append(_GAMMA_CITATION)
@@ -309,7 +309,6 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
         volume=volume_units(space),
         gromov_width_units=gromov_width_units(space),
         sb=sb,
-        case=sb.clause,
         warnings=_warnings_for(space),
         citations=tuple(citations),
     )
@@ -320,7 +319,10 @@ class ScanRow(NamedTuple):
     n: int
     degree: int
     sb: SBResult
-    clause: str
+
+    @property
+    def clause(self) -> str:
+        return self.sb.clause
 
 
 class ScanResult(NamedTuple):
@@ -335,8 +337,6 @@ _TYPE_III_FOOTNOTE = (
     "the exact degrees give the first clause-(i) case at s = 5, since "
     "degree(III(4)) = 12 < 2n = 20 while degree(III(5)) = 286 >= 2n = 30"
 )
-
-_FAMILIES = ("I", "II", "III", "IV")
 
 # A scan keeps every row and prints them all, so its length is bounded
 # before the first row is computed; a mistyped range then fails at once
@@ -360,8 +360,8 @@ def threshold_scan(
     starts below the family's least parameter or one of more than
     ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
     """
-    if family not in _FAMILIES:
-        raise InvalidParams(f"unknown family {family!r} (expected one of {', '.join(_FAMILIES)})")
+    if family not in FAMILIES:
+        raise InvalidParams(f"unknown family {family!r} (expected one of {', '.join(FAMILIES)})")
     if family == "I":
         if k is None:
             raise InvalidParams("family I needs a fixed k (write the family as 'I:k=2')")
@@ -374,7 +374,7 @@ def threshold_scan(
         label = family
     if start > stop:
         raise InvalidParams(f"empty range {start}..{stop}")
-    least = k + 1 if family == "I" else LEAST_PARAM[family]
+    least = k + 1 if family == "I" else FAMILIES[family].least
     if start < least:
         raise InvalidParams(
             f"range {start}..{stop} starts below {least}, the first valid parameter of {label}"
@@ -386,11 +386,10 @@ def threshold_scan(
 
     rows = []
     for s in range(start, stop + 1):
-        atom = type_i(k, s) if family == "I" else IrreducibleSpace(family, (s,))
-        space = SpaceExpr((atom,))
+        space = SpaceExpr((IrreducibleSpace(family, (s,) if k is None else (k, s)),))
         d = degree(space)
         sb = _classify(space, d, table)
-        rows.append(ScanRow(param=s, n=space.dimension, degree=d, sb=sb, clause=sb.clause))
+        rows.append(ScanRow(param=s, n=space.dimension, degree=d, sb=sb))
 
     first_exact = None
     for row in reversed(rows):

@@ -1,14 +1,17 @@
-"""Data model and parser for products of the four classical families.
+"""Data model and parser for products of the classical families.
 
-An expression denotes a finite product of irreducible compact Hermitian
-symmetric spaces:
+``FAMILIES`` is the one place that knows which families exist and what
+their parameters look like; the constructor, the factor order, the
+parser and the scans read it.  An expression denotes a finite product
+of irreducible compact Hermitian symmetric spaces:
 
     expr := term (("x" | "*") term)*
     term := atom ("^" exponent)?
-    atom := "I(" k "," s ")" | "II(" s ")" | "III(" s ")" | "IV(" s ")"
-          | "CP(" n ")" | "(" expr ")"
+    atom := kind "(" integer ("," integer)* ")" | "CP(" n ")" | "(" expr ")"
 
-Whitespace is insignificant and integers are ASCII digits.  ``CP(n)``
+A kind, a key of ``FAMILIES``, takes as many integers as its arity:
+``I(k, s)``, ``II(s)``, ``III(s)``, ``IV(s)``.  Whitespace is
+insignificant and integers are ASCII digits.  ``CP(n)``
 is sugar for ``I(1, n+1)`` and an exponent repeats a factor.  A whole
 expression may expand to at most 64 factors and nest parentheses at
 most 64 deep, so a typo can neither allocate an absurd product nor
@@ -20,9 +23,8 @@ refinement file.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
-_KIND_ORDER = {"I": 0, "II": 1, "III": 2, "IV": 3}
 _MAX_EXPONENT = 64  # also the bound on the expanded factor count
 _MAX_NESTING = 64
 
@@ -43,9 +45,24 @@ class EmptyProduct(ValueError):
     """A space expression needs at least one factor."""
 
 
-# The least parameter s of each one-parameter family; type I(k, s)
-# needs s >= k + 1.
-LEAST_PARAM = {"II": 2, "III": 1, "IV": 1}
+class Family(NamedTuple):
+    """One classical family; ``dimension`` and ``rank`` take its parameters."""
+
+    arity: int
+    signature: str  # how the parameters are written, e.g. "(k, s)"
+    least: int  # the least s
+    dimension: Callable[..., int]
+    rank: Callable[..., int]
+
+
+# The families in canonical factor order.  IV(1) ~ CP^1 has rank 1 and
+# IV(2) ~ CP^1 x CP^1 rank 2.
+FAMILIES = {
+    "I": Family(2, "(k, s)", 2, lambda k, s: (s - k) * k, lambda k, s: min(k, s - k)),
+    "II": Family(1, "(s,)", 2, lambda s: s * (s - 1) // 2, lambda s: s // 2),
+    "III": Family(1, "(s,)", 1, lambda s: s * (s + 1) // 2, lambda s: s),
+    "IV": Family(1, "(s,)", 1, lambda s: s, lambda s: min(s, 2)),
+}
 
 
 class _IrreducibleFields(NamedTuple):
@@ -54,8 +71,8 @@ class _IrreducibleFields(NamedTuple):
 
 
 class IrreducibleSpace(_IrreducibleFields):
-    """One irreducible factor: kind "I", "II", "III" or "IV" plus its
-    integer parameters ((k, s) for type I, (s,) for the others).
+    """One irreducible factor: a kind of ``FAMILIES`` plus as many
+    integer parameters as its arity.
 
     An immutable named tuple; out-of-range parameters raise
     ``InvalidParams`` when it is built."""
@@ -63,23 +80,18 @@ class IrreducibleSpace(_IrreducibleFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, params: tuple[int, ...]) -> IrreducibleSpace:
-        if kind == "I":
-            if len(params) != 2:
-                raise InvalidParams(f"type I takes (k, s), got {params}")
-            k, s = params
-            if s < 2 or not 1 <= k <= s - 1:
-                raise InvalidParams(
-                    f"type I requires 1 <= k <= s-1 and s >= 2, got k={k}, s={s}"
-                )
-        elif kind in LEAST_PARAM:
-            if len(params) != 1:
-                raise InvalidParams(f"type {kind} takes (s,), got {params}")
-            (s,) = params
-            least = LEAST_PARAM[kind]
-            if s < least:
-                raise InvalidParams(f"type {kind} requires s >= {least}, got s={s}")
-        else:
+        family = FAMILIES.get(kind)
+        if family is None:
             raise InvalidParams(f"unknown space kind {kind!r}")
+        if len(params) != family.arity:
+            raise InvalidParams(f"type {kind} takes {family.signature}, got {params}")
+        s = params[-1]
+        if kind == "I" and not 1 <= params[0] <= s - 1:  # which implies s >= 2
+            raise InvalidParams(
+                f"type I requires 1 <= k <= s-1 and s >= {family.least}, got k={params[0]}, s={s}"
+            )
+        if s < family.least:
+            raise InvalidParams(f"type {kind} requires s >= {family.least}, got s={s}")
         return super().__new__(cls, kind, params)
 
     @classmethod
@@ -89,28 +101,12 @@ class IrreducibleSpace(_IrreducibleFields):
     @property
     def dimension(self) -> int:
         """Complex dimension."""
-        if self.kind == "I":
-            k, s = self.params
-            return (s - k) * k
-        (s,) = self.params
-        if self.kind == "II":
-            return s * (s - 1) // 2
-        if self.kind == "III":
-            return s * (s + 1) // 2
-        return s
+        return FAMILIES[self.kind].dimension(*self.params)
 
     @property
     def rank(self) -> int:
-        """Symmetric-space rank (assumes canonical form for type IV)."""
-        if self.kind == "I":
-            k, s = self.params
-            return min(k, s - k)
-        (s,) = self.params
-        if self.kind == "II":
-            return s // 2
-        if self.kind == "III":
-            return s
-        return 2
+        """Symmetric-space rank."""
+        return FAMILIES[self.kind].rank(*self.params)
 
     def render(self) -> str:
         return f"{self.kind}({','.join(str(p) for p in self.params)})"
@@ -142,10 +138,6 @@ def projective_space(n: int) -> IrreducibleSpace:
     return type_i(1, n + 1)
 
 
-def _sort_key(factor: IrreducibleSpace) -> tuple[int, tuple[int, ...]]:
-    return (_KIND_ORDER[factor.kind], factor.params)
-
-
 class _SpaceExprFields(NamedTuple):
     factors: tuple[IrreducibleSpace, ...]
 
@@ -157,9 +149,9 @@ class SpaceExpr(_SpaceExprFields):
     Construction rewrites the factors: type I factors take k <= s-k
     (both labellings name the same Grassmannian and the degree formula
     is symmetric in them), IV(1) becomes I(1,2), IV(2) splits into
-    I(1,2) x I(1,2), and factors are sorted by (kind, params).  Two
-    spellings of one product therefore compare equal, hash equal and
-    render to the same key.
+    I(1,2) x I(1,2), and factors are sorted by kind (in ``FAMILIES``
+    order), then by params.  Two spellings of one product therefore
+    compare equal, hash equal and render to the same key.
     """
 
     __slots__ = ()
@@ -178,7 +170,8 @@ class SpaceExpr(_SpaceExprFields):
                 rewritten.extend((type_i(1, 2), type_i(1, 2)))
             else:
                 rewritten.append(f)
-        rewritten.sort(key=_sort_key)
+        kinds = list(FAMILIES)
+        rewritten.sort(key=lambda f: (kinds.index(f.kind), f.params))
         return super().__new__(cls, tuple(rewritten))
 
     @classmethod
@@ -298,21 +291,22 @@ class _Parser:
         while self.peek().isalpha():
             self.pos += 1
         word = self.text[start : self.pos]
-        if word not in ("I", "II", "III", "IV", "CP"):
+        family = FAMILIES.get(word)
+        if family is None and word != "CP":
             got = repr(word) if word else (repr(self.peek()) if self.peek() else "end of input")
-            raise self.error(f"expected a space atom (I/II/III/IV/CP or parenthesis), got {got}", start)
+            atoms = "/".join([*FAMILIES, "CP"])
+            raise self.error(f"expected a space atom ({atoms} or parenthesis), got {got}", start)
         self.skip_ws()
         self.eat("(")
-        if word == "I":
-            k = self.integer()
-            self.skip_ws()
-            self.eat(",")
-            s = self.integer()
-            factor = type_i(k, s)
-        elif word == "CP":
+        if family is None:
             factor = projective_space(self.integer())
         else:
-            factor = IrreducibleSpace(word, (self.integer(),))
+            params = [self.integer()]
+            while len(params) < family.arity:
+                self.skip_ws()
+                self.eat(",")
+                params.append(self.integer())
+            factor = IrreducibleSpace(word, tuple(params))
         self.skip_ws()
         self.eat(")")
         return [factor]

@@ -339,8 +339,7 @@ def _reference_scan(scan: ScanResult, atoms, table) -> ScanResult:
     for param, atom in atoms:
         space = SpaceExpr((atom,))
         sb = classify(space, table)
-        clause = CLAUSE_EXACT if sb.kind == "Exact" else CLAUSE_RANGE
-        rows.append(ScanRow(param, space.dimension, degree(space), sb, clause))
+        rows.append(ScanRow(param, space.dimension, degree(space), sb))
     return ScanResult(scan.family, tuple(rows), scan.first_exact, scan.footnotes)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hssatlas.spaces import (
     EmptyProduct,
     InvalidParams,
+    IrreducibleSpace,
     SpaceExpr,
     SpaceSyntaxError,
     parse,
@@ -74,6 +75,17 @@ def test_unknown_atom_rejected():
         parse("V(3)")
     with pytest.raises(SpaceSyntaxError):
         parse("Spin(10)")
+
+
+def test_messages_generated_from_the_family_table():
+    with pytest.raises(SpaceSyntaxError) as err:
+        parse("V(3)")
+    assert str(err.value) == (
+        "expected a space atom (I/II/III/IV/CP or parenthesis), got 'V' (at position 0)"
+    )
+    with pytest.raises(InvalidParams) as err:
+        IrreducibleSpace("II", (3, 4))
+    assert str(err.value) == "type II takes (s,), got (3, 4)"
 
 
 def test_trailing_garbage_rejected():
@@ -224,6 +236,13 @@ def test_dimension_known_values(text, dim):
 )
 def test_rank_known_values(text, rank):
     assert parse(text).rank == rank
+
+
+def test_type_iv_rank_outside_canonical_form():
+    # IV(1) ~ CP^1 and IV(2) ~ CP^1 x CP^1, built directly so that
+    # SpaceExpr does not rewrite them
+    assert type_iv(1).rank == 1
+    assert type_iv(2).rank == 2
 
 
 def test_type_i_dimension_duality():
