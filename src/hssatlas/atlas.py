@@ -15,7 +15,6 @@ changes which clause fired.
 from __future__ import annotations
 
 import os
-from importlib import resources
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -78,25 +77,24 @@ class RefinementEntry(NamedTuple):
 
     pattern: str  # canonical key, or "I(1,*)" for the projective rule
     values: tuple[int, ...] | range | None
-    rule: str | None  # "n_plus_1" or None
     citation: str
 
 
-def _parse_values_spec(spec: str) -> tuple[tuple[int, ...] | range | None, str | None]:
+def _parse_values_spec(spec: str) -> tuple[int, ...] | range | None:
     spec = spec.strip()
     if spec == PROJECTIVE_RULE_TOKEN:
-        return None, PROJECTIVE_RULE_TOKEN
+        return None
     if spec.startswith("{") and spec.endswith("}"):
         body = spec[1:-1]
         if not body.strip():
             raise ValueError("empty value set")
-        return tuple(sorted({read_int(v) for v in body.split(",")})), None
+        return tuple(sorted({read_int(v) for v in body.split(",")}))
     if spec.startswith("[") and spec.endswith("]"):
         lo_text, _, hi_text = spec[1:-1].partition(",")
         lo, hi = read_int(lo_text), read_int(hi_text)
         if hi < lo:
             raise ValueError(f"empty interval [{lo},{hi}]")
-        return range(lo, hi + 1), None
+        return range(lo, hi + 1)
     raise ValueError(f"values must look like '{{5,6}}', '[7,10]' or '{PROJECTIVE_RULE_TOKEN}', got {spec!r}")
 
 
@@ -114,9 +112,9 @@ class RefinementTable(_RefinementTableFields):
     """The records of one refinement table, in file order.
 
     Built from ``entries`` alone: ``by_key`` maps each explicit key to
-    its first record (a read-only view) and ``rule`` is the first
-    projective-rule record, so a lookup is one dict probe.  An explicit
-    key beats the rule.
+    its first record (a read-only view) and ``rule`` is the first record
+    whose ``values`` is None (the projective rule), so a lookup is one
+    dict probe.  An explicit key beats the rule.
     """
 
     __slots__ = ()
@@ -126,9 +124,9 @@ class RefinementTable(_RefinementTableFields):
         by_key: dict[str, RefinementEntry] = {}
         rule = None
         for entry in entries:
-            if entry.rule is None:
+            if entry.values is not None:
                 by_key.setdefault(entry.pattern, entry)
-            elif rule is None and entry.rule == PROJECTIVE_RULE_TOKEN:
+            elif rule is None:
                 rule = entry
         return super().__new__(cls, entries, MappingProxyType(by_key), rule)
 
@@ -159,19 +157,18 @@ class RefinementTable(_RefinementTableFields):
             if not citation:
                 raise ValueError(f"{source}:{lineno}: a citation is mandatory")
             try:
-                values, rule = _parse_values_spec(values_spec)
+                values = _parse_values_spec(values_spec)
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
-            if rule is not None:
+            if values is None:
                 if pattern != PROJECTIVE_RULE_PATTERN:
                     raise ValueError(
                         f"{source}:{lineno}: the {PROJECTIVE_RULE_TOKEN} rule requires "
                         f"pattern {PROJECTIVE_RULE_PATTERN}"
                     )
-                entries.append(RefinementEntry(pattern, None, rule, citation))
+                entries.append(RefinementEntry(pattern, None, citation))
                 continue
             space = parse(pattern)
-            assert values is not None
             bare = classify(space)
             lower, upper = (bare.value, bare.value) if bare.kind == "Exact" else (bare.lower, bare.upper)
             if not (lower <= values[0] and values[-1] <= upper):
@@ -179,7 +176,7 @@ class RefinementTable(_RefinementTableFields):
                     f"{source}:{lineno}: refinement {values_spec} for {space.render()} "
                     f"contradicts the theorem bounds {lower}..{upper}"
                 )
-            entries.append(RefinementEntry(space.render(), values, None, citation))
+            entries.append(RefinementEntry(space.render(), values, citation))
         return cls(tuple(entries))
 
     @classmethod
@@ -189,8 +186,9 @@ class RefinementTable(_RefinementTableFields):
 
     @classmethod
     def builtin(cls) -> "RefinementTable":
-        text = resources.files("hssatlas").joinpath("data/refinements.txt").read_text("utf-8")
-        return cls.from_lines(text.splitlines(), source="<builtin>")
+        path = os.path.join(os.path.dirname(__file__), "data", "refinements.txt")
+        with open(path, encoding="utf-8") as handle:
+            return cls.from_lines(handle, source="<builtin>")
 
     @classmethod
     def resolve(cls, path: str | None = None) -> "RefinementTable":
@@ -245,13 +243,6 @@ class Report(NamedTuple):
         return 2 * self.n
 
 
-_DEGREE_CITATIONS = {
-    "I": "degree(I(k,s)): volume of the type I classical domain (Hua); "
-    "equals the standard-Young-tableaux count of the k x (s-k) rectangle",
-    "II": "degree(II(s)): volume of the type II classical domain (Hua)",
-    "III": "degree(III(s)): volume of the type III classical domain (Hua)",
-    "IV": "degree(IV(s)) = 2: quadric embedding (Wirtinger degree-volume identity)",
-}
 _PRODUCT_CITATION = (
     "degree(product) = multinomial(n_1,...,n_m) * prod(factor degrees): "
     "volumes multiply and Vol = degree * pi^n/n!"
@@ -295,7 +286,7 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     """Full invariant report for one (product) space."""
     sb = classify(space, table)
     # factors are in canonical order, so the kinds come in FAMILIES order
-    citations = [_DEGREE_CITATIONS[kind] for kind in dict.fromkeys(f.kind for f in space.factors)]
+    citations = [FAMILIES[kind].citation for kind in dict.fromkeys(f.kind for f in space.factors)]
     if len(space.factors) > 1:
         citations.append(_PRODUCT_CITATION)
     citations.append(_GAMMA_CITATION)

@@ -12,9 +12,7 @@ Kaehler form to pi:
 so Gamma = floor(Vol * n! / width^n) + 1 collapses to the exact integer
 degree + 1 -- no floating point is involved anywhere.
 
-The type III closed form is implemented verbatim.  At small parameters
-(s <= 4) it disagrees with the low-dimensional isomorphism III(2) ~
-IV(3); the oracle module keeps that visible instead of patching it.
+Each family's degree is a column of ``spaces.FAMILIES``.
 """
 
 from __future__ import annotations
@@ -23,50 +21,20 @@ import math
 from typing import NamedTuple, Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
-from .spaces import InvalidParams, IrreducibleSpace, SpaceExpr
-
-QUADRIC_DEGREE = 2
+from .spaces import FAMILIES, IrreducibleSpace, SpaceExpr
 
 
 def degree_ratio(space: IrreducibleSpace) -> FactorialRatio | None:
-    """Factorial-ratio form of the irreducible embedding degree.
-
-    Type IV has constant degree 2 and no ratio form (None is returned);
-    IV(1) and IV(2) are refused, since ``SpaceExpr`` construction
-    rewrites them into type I factors.  The type
-    I form is symmetric under k <-> s-k, so non-canonical labellings
-    are accepted.
-    """
-    if space.kind == "I":
-        k, s = space.params
-        return FactorialRatio(
-            tuple(range(1, s - k)) + tuple(range(1, k)) + ((s - k) * k,),
-            tuple(range(1, s)),
-        )
-    (s,) = space.params
-    if space.kind == "II":
-        return FactorialRatio(
-            (s * (s - 1) // 2,) + tuple(2 * j for j in range(1, s - 1)),
-            tuple(range(s - 1, 2 * s - 2)),
-        )
-    if space.kind == "III":
-        return FactorialRatio(
-            (s * (s + 1) // 2,) + tuple(2 * j for j in range(1, s)),
-            tuple(range(s, 2 * s)),
-        )
-    if s <= 2:
-        raise InvalidParams(
-            f"degree of {space.render()} requires canonical form "
-            "(SpaceExpr construction rewrites IV(1) and IV(2) into type I)"
-        )
-    return None
+    """Factorial-ratio form of the irreducible embedding degree, or None
+    for a family whose degree has none (type IV).  IV(1) and IV(2) raise
+    ``InvalidParams``: ``SpaceExpr`` rewrites them into type I factors."""
+    value = FAMILIES[space.kind].degree(*space.params)
+    return None if isinstance(value, int) else value
 
 
 def degree_irreducible(space: IrreducibleSpace) -> int:
-    ratio = degree_ratio(space)
-    if ratio is None:
-        return QUADRIC_DEGREE
-    return eval_ratio_direct(ratio)
+    value = FAMILIES[space.kind].degree(*space.params)
+    return value if isinstance(value, int) else eval_ratio_direct(value)
 
 
 def multinomial_ratio(dims: Sequence[int]) -> FactorialRatio:

@@ -1,9 +1,10 @@
 """Data model and parser for products of the classical families.
 
-``FAMILIES`` is the one place that knows which families exist and what
-their parameters look like; the constructor, the factor order, the
-parser and the scans read it.  An expression denotes a finite product
-of irreducible compact Hermitian symmetric spaces:
+``FAMILIES`` is the one place that knows which families exist, what
+their parameters look like, their embedding degree and its citation;
+the constructor, the factor order, the parser, the scans, the degree
+and the report read it.  An expression denotes a finite product of
+irreducible compact Hermitian symmetric spaces:
 
     expr := term (("x" | "*") term)*
     term := atom ("^" exponent)?
@@ -24,6 +25,8 @@ refinement file.
 from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple
+
+from .arith import FactorialRatio
 
 _MAX_EXPONENT = 64  # also the bound on the expanded factor count
 _MAX_NESTING = 64
@@ -46,22 +49,56 @@ class EmptyProduct(ValueError):
 
 
 class Family(NamedTuple):
-    """One classical family; ``dimension`` and ``rank`` take its parameters."""
+    """One classical family; the callables take its parameters."""
 
     arity: int
     signature: str  # how the parameters are written, e.g. "(k, s)"
     least: int  # the least s
     dimension: Callable[..., int]
     rank: Callable[..., int]
+    degree: Callable[..., FactorialRatio | int]  # an int where no ratio form exists
+    citation: str  # the result a report cites for the degree
+
+
+def _degree_i(k: int, s: int) -> FactorialRatio:
+    # symmetric under k <-> s-k, so a non-canonical labelling is accepted
+    numerator = tuple(range(1, s - k)) + tuple(range(1, k)) + ((s - k) * k,)
+    return FactorialRatio(numerator, tuple(range(1, s)))
+
+
+def _degree_ii(s: int) -> FactorialRatio:
+    evens = tuple(2 * j for j in range(1, s - 1))
+    return FactorialRatio((s * (s - 1) // 2,) + evens, tuple(range(s - 1, 2 * s - 2)))
+
+
+def _degree_iii(s: int) -> FactorialRatio:
+    # The published closed form, verbatim.  At s <= 4 it disagrees with the
+    # isomorphism III(2) ~ IV(3); the oracle module shows that, unpatched.
+    evens = tuple(2 * j for j in range(1, s))
+    return FactorialRatio((s * (s + 1) // 2,) + evens, tuple(range(s, 2 * s)))
+
+
+def _degree_iv(s: int) -> int:
+    if s <= 2:
+        raise InvalidParams(
+            f"degree of IV({s}) requires canonical form "
+            "(SpaceExpr construction rewrites IV(1) and IV(2) into type I)"
+        )
+    return 2
 
 
 # The families in canonical factor order.  IV(1) ~ CP^1 has rank 1 and
 # IV(2) ~ CP^1 x CP^1 rank 2.
 FAMILIES = {
-    "I": Family(2, "(k, s)", 2, lambda k, s: (s - k) * k, lambda k, s: min(k, s - k)),
-    "II": Family(1, "(s,)", 2, lambda s: s * (s - 1) // 2, lambda s: s // 2),
-    "III": Family(1, "(s,)", 1, lambda s: s * (s + 1) // 2, lambda s: s),
-    "IV": Family(1, "(s,)", 1, lambda s: s, lambda s: min(s, 2)),
+    "I": Family(2, "(k, s)", 2, lambda k, s: (s - k) * k, lambda k, s: min(k, s - k), _degree_i,
+                "degree(I(k,s)): volume of the type I classical domain (Hua); "
+                "equals the standard-Young-tableaux count of the k x (s-k) rectangle"),
+    "II": Family(1, "(s,)", 2, lambda s: s * (s - 1) // 2, lambda s: s // 2, _degree_ii,
+                 "degree(II(s)): volume of the type II classical domain (Hua)"),
+    "III": Family(1, "(s,)", 1, lambda s: s * (s + 1) // 2, lambda s: s, _degree_iii,
+                  "degree(III(s)): volume of the type III classical domain (Hua)"),
+    "IV": Family(1, "(s,)", 1, lambda s: s, lambda s: min(s, 2), _degree_iv,
+                 "degree(IV(s)) = 2: quadric embedding (Wirtinger degree-volume identity)"),
 }
 
 
@@ -210,7 +247,10 @@ def read_int(text: str) -> int:
     unsigned = digits[1:] if digits.startswith("-") else digits
     if not (unsigned.isascii() and unsigned.isdigit()):
         raise ValueError(f"expected an integer, got {text!r}")
-    return int(digits)
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise ValueError(f"integer too long ({len(unsigned)} digits)") from None
 
 
 class _Parser:
@@ -246,9 +286,9 @@ class _Parser:
         if not text or text == "-":
             raise self.error("expected an integer", start)
         try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts
-            raise self.error(f"integer too long ({len(text.lstrip('-'))} digits)", start) from None
+            return read_int(text)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise self.error(str(exc), start) from None
 
     def expr(self) -> list[IrreducibleSpace]:
         factors = self.term()

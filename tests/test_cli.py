@@ -203,6 +203,16 @@ def test_non_ascii_refinement_value_is_rejected_with_its_line(capsys, tmp_path):
     )
 
 
+def test_refinement_value_too_long_to_convert_is_rejected_with_its_line(capsys, tmp_path):
+    path = tmp_path / "long.txt"
+    path.write_text("I(2,5) | {" + "9" * 5000 + "} | y\n", encoding="utf-8")
+    assert run(capsys, "compute", "I(2,5)", "--refinements", str(path)) == (
+        2,
+        "",
+        f"error: {path}:1: integer too long (5000 digits)\n",
+    )
+
+
 def test_duplicate_set_values_print_once(capsys, tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("I(2,4) | {5,5} | c; .\n", encoding="utf-8")
@@ -398,8 +408,8 @@ def test_every_readme_cli_example_succeeds(capsys):
 # --- start-up ----------------------------------------------------------------
 
 # Stdlib modules that a process should load only for the formats that
-# need them (json, csv) or never (dataclasses, inspect).
-_WATCHED = ("json", "csv", "dataclasses", "inspect")
+# need them (json, csv) or never (dataclasses, inspect, importlib.resources).
+_WATCHED = ("json", "csv", "dataclasses", "inspect", "importlib.resources")
 
 
 def _loaded_after(code: str, *argv: str) -> list[str]:

@@ -2,16 +2,22 @@
 
 import pytest
 
-from hssatlas.atlas import report, threshold_scan
-from hssatlas.spaces import FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, parse
+from hssatlas.atlas import SBResult, report, threshold_scan
+from hssatlas.invariants import degree_irreducible
+from hssatlas.spaces import FAMILIES, Family, InvalidParams, IrreducibleSpace, SpaceExpr, parse
 
 # kind: (least parameters, their canonical key, the scan's k and label,
-#        two (parameters, dimension, rank) samples, head of the degree citation)
+#        two (parameters, dimension, rank) samples, head of the degree citation,
+#        (parameters, degree) and the parameters whose degree is refused)
 EXPECTED = {
-    "I": ((1, 2), "I(1,2)", 1, "I(k=1)", [((2, 5), 6, 2), ((3, 7), 12, 3)], "degree(I(k,s)): "),
-    "II": ((2,), "II(2)", None, "II", [((5,), 10, 2), ((6,), 15, 3)], "degree(II(s)): "),
-    "III": ((1,), "III(1)", None, "III", [((3,), 6, 3), ((5,), 15, 5)], "degree(III(s)): "),
-    "IV": ((1,), "I(1,2)", None, "IV", [((1,), 1, 1), ((5,), 5, 2)], "degree(IV(s)) = 2: "),
+    "I": ((1, 2), "I(1,2)", 1, "I(k=1)", [((2, 5), 6, 2), ((3, 7), 12, 3)], "degree(I(k,s)): ",
+          ((2, 5), 5), []),
+    "II": ((2,), "II(2)", None, "II", [((5,), 10, 2), ((6,), 15, 3)], "degree(II(s)): ",
+           ((5,), 12), []),
+    "III": ((1,), "III(1)", None, "III", [((3,), 6, 3), ((5,), 15, 5)], "degree(III(s)): ",
+            ((5,), 286), []),
+    "IV": ((1,), "I(1,2)", None, "IV", [((1,), 1, 1), ((5,), 5, 2)], "degree(IV(s)) = 2: ",
+           ((5,), 2), [(1,), (2,)]),
 }
 
 
@@ -25,7 +31,7 @@ def test_families_are_the_expected_kinds_in_canonical_order():
 
 @pytest.mark.parametrize("kind", list(FAMILIES))
 def test_family_row(kind):
-    least, key, k, label, samples, citation = EXPECTED[kind]
+    least, key, k, label, samples, citation, (params, degree), refused = EXPECTED[kind]
     *rest, s = least
 
     # the least parameter parses and renders back
@@ -43,6 +49,12 @@ def test_family_row(kind):
     )
     assert threshold_scan(kind, s, s + 2, k=k).rows[0].param == s
 
+    # the degree at one parameter; SpaceExpr rewrites the refused ones into type I
+    assert degree_irreducible(IrreducibleSpace(kind, params)) == degree
+    for bad in refused:
+        with pytest.raises(InvalidParams, match="requires canonical form"):
+            degree_irreducible(IrreducibleSpace(kind, bad))
+
     for params, dimension, rank in samples:
         factor = IrreducibleSpace(kind, params)
         assert (factor.dimension, factor.rank) == (dimension, rank)
@@ -51,3 +63,20 @@ def test_family_row(kind):
     params = samples[-1][0]
     rep = report(SpaceExpr((IrreducibleSpace(kind, params),)))
     assert rep.citations[0].startswith(citation)
+
+
+def test_a_new_family_is_one_row(monkeypatch):
+    citation = "degree(V(s)) = 4: a toy family"
+    toy = Family(1, "(s,)", 1, lambda s: 2 * s, lambda s: 1, lambda s: 4, citation)
+    monkeypatch.setitem(FAMILIES, "V", toy)
+
+    space = parse("V(3) x CP(1)")
+    assert space.render() == "I(1,2) x V(3)"
+    rep = report(space)
+    # multinomial(6, 1) = 7 times the factor degrees 4 and 1
+    assert (rep.n, rep.rank, rep.degree, rep.sb) == (7, 2, 28, SBResult.exact(29))
+    assert rep.citations[:2] == (FAMILIES["I"].citation, citation)
+
+    scan = threshold_scan("V", 1, 3)
+    assert [(row.n, row.degree) for row in scan.rows] == [(2, 4), (4, 4), (6, 4)]
+    assert [row.clause for row in scan.rows] == ["Thm1(i)", "Thm1(ii)", "Thm1(ii)"]
