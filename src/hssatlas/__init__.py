@@ -20,7 +20,7 @@ _HOME = {
     name: module
     for module, names in {
         "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre factorial",
-        "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementEntry RefinementTable "
+        "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementTable "
         "Report SBResult ScanResult ScanRow classify report threshold_scan",
         "invariants": "NormalizedVolume degree degree_irreducible degree_ratio gamma gromov_width_units "
         "multinomial_ratio volume_units",

@@ -31,9 +31,14 @@ PROJECTIVE_RULE_TOKEN = "n_plus_1"
 
 
 class Refinement(NamedTuple):
-    """Literature narrowing of a classification bracket."""
+    """A refinement record, or the result of a lookup: the pattern and
+    citation of the record that matched, with its values as a tuple.  In
+    a record, ``values`` is a sorted tuple for '{5,6}', a ``range`` for
+    '[7,10]' (a record costs the same whatever its width) and None for
+    the projective rule."""
 
-    values: tuple[int, ...]
+    pattern: str  # canonical key, or "I(1,*)" for the projective rule
+    values: tuple[int, ...] | range | None
     citation: str
 
     @property
@@ -67,19 +72,6 @@ class SBResult(NamedTuple):
         return SBResult("Range", lower=lower, upper=upper, refinement=refinement)
 
 
-class RefinementEntry(NamedTuple):
-    """One table record.
-
-    ``values`` is a sorted tuple of distinct values for a '{5,6}' set, a
-    ``range`` for a '[7,10]' interval (so a record costs the same
-    whatever the interval's width), and None for the projective rule.
-    """
-
-    pattern: str  # canonical key, or "I(1,*)" for the projective rule
-    values: tuple[int, ...] | range | None
-    citation: str
-
-
 def _parse_values_spec(spec: str) -> tuple[int, ...] | range | None:
     spec = spec.strip()
     if spec == PROJECTIVE_RULE_TOKEN:
@@ -103,9 +95,9 @@ def _is_single_projective(space: SpaceExpr) -> bool:
 
 
 class _RefinementTableFields(NamedTuple):
-    entries: tuple[RefinementEntry, ...]
-    by_key: Mapping[str, RefinementEntry]
-    rule: RefinementEntry | None
+    entries: tuple[Refinement, ...]
+    by_key: Mapping[str, Refinement]
+    rule: Refinement | None
 
 
 class RefinementTable(_RefinementTableFields):
@@ -119,9 +111,9 @@ class RefinementTable(_RefinementTableFields):
 
     __slots__ = ()
 
-    def __new__(cls, entries: Iterable[RefinementEntry]) -> RefinementTable:
+    def __new__(cls, entries: Iterable[Refinement]) -> RefinementTable:
         entries = tuple(entries)
-        by_key: dict[str, RefinementEntry] = {}
+        by_key: dict[str, Refinement] = {}
         rule = None
         for entry in entries:
             if entry.values is not None:
@@ -134,9 +126,6 @@ class RefinementTable(_RefinementTableFields):
     def _make(cls, iterable: Iterable[object]) -> RefinementTable:
         return cls(tuple(iterable)[0])  # so that _replace() rebuilds the index
 
-    def __hash__(self) -> int:
-        return hash(self.entries)  # the other fields follow from it
-
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<memory>") -> "RefinementTable":
         """Parse '|'-separated records; '#' lines are comments.
@@ -145,7 +134,7 @@ class RefinementTable(_RefinementTableFields):
         and the values must sit inside the bounds the theorem gives for
         that space.
         """
-        entries: list[RefinementEntry] = []
+        entries: list[Refinement] = []
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -166,7 +155,7 @@ class RefinementTable(_RefinementTableFields):
                         f"{source}:{lineno}: the {PROJECTIVE_RULE_TOKEN} rule requires "
                         f"pattern {PROJECTIVE_RULE_PATTERN}"
                     )
-                entries.append(RefinementEntry(pattern, None, citation))
+                entries.append(Refinement(pattern, None, citation))
                 continue
             space = parse(pattern)
             bare = classify(space)
@@ -176,7 +165,7 @@ class RefinementTable(_RefinementTableFields):
                     f"{source}:{lineno}: refinement {values_spec} for {space.render()} "
                     f"contradicts the theorem bounds {lower}..{upper}"
                 )
-            entries.append(RefinementEntry(space.render(), values, citation))
+            entries.append(Refinement(space.render(), values, citation))
         return cls(tuple(entries))
 
     @classmethod
@@ -201,9 +190,9 @@ class RefinementTable(_RefinementTableFields):
     def lookup(self, space: SpaceExpr) -> Refinement | None:
         entry = self.by_key.get(space.render())
         if entry is not None:
-            return Refinement(tuple(entry.values), entry.citation)
+            return Refinement(entry.pattern, tuple(entry.values), entry.citation)
         if self.rule is not None and _is_single_projective(space):
-            return Refinement((space.dimension + 1,), self.rule.citation)
+            return Refinement(self.rule.pattern, (space.dimension + 1,), self.rule.citation)
         return None
 
 

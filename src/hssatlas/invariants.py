@@ -65,9 +65,6 @@ class NormalizedVolume(NamedTuple):
     units: int
     dim: int
 
-    def render(self) -> str:
-        return f"{self.units}·π^{self.dim}/{self.dim}!"
-
 
 def volume_units(space: SpaceExpr) -> NormalizedVolume:
     return NormalizedVolume(units=degree(space), dim=space.dimension)

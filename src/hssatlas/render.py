@@ -5,11 +5,11 @@ integer as a decimal string so arbitrarily large degrees survive any
 consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
 comes from one writer (``_csv``) and every LaTeX table, with its
 footnotes, from one frame (``_tabular``); the cells of a result kind
-are built once and shared by its formats.  ``json``, ``csv`` and the
-oracle module are imported only by the renderers that use them, so a
-process loads them only for the formats and commands it runs.  All
-renderers are deterministic: the same value always produces the same
-bytes.
+are built once and shared by its formats, and every integer is
+written by ``digits``.  ``json``, ``csv`` and the oracle module are
+imported only by the renderers that use them, so a process loads them
+only for the formats and commands it runs.  All renderers are
+deterministic: the same value always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .atlas import Report, SBResult, ScanResult
+from .invariants import NormalizedVolume
 
 if TYPE_CHECKING:
     from .oracle import CheckResult, Diagnostic
@@ -38,6 +39,18 @@ def latex_escape(text: str) -> str:
     return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
 
 
+def digits(n: int) -> str:
+    """All the decimal digits of an exact integer: ``Decimal`` converts
+    one over ``str``'s process-wide limit (4,300 digits by default)
+    exactly, and leaves that limit as it is."""
+    try:
+        return str(n)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(n))
+
+
 def _json(obj: object) -> str:
     import json
 
@@ -45,15 +58,15 @@ def _json(obj: object) -> str:
 
 
 def _csv(header: Iterable[str], rows: Iterable[Iterable[object]], notes: Iterable[str] = ()) -> str:
-    """A header, the rows (None writes as an empty field), then one
-    '# note:' line per note."""
+    """A header, the rows (None writes as an empty field, an integer in
+    full), then one '# note:' line per note."""
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([digits(cell) if isinstance(cell, int) else cell for cell in row] for row in rows)
     buffer.writelines(f"# note: {note}\n" for note in notes)
     return buffer.getvalue().rstrip("\n")
 
@@ -82,16 +95,16 @@ def _tabular(
 
 def _braced(values: Iterable[int]) -> str:
     """'{5,6}': a refined value set in table cells."""
-    return "{" + ",".join(str(v) for v in values) + "}"
+    return "{" + ",".join(map(digits, values)) + "}"
 
 
 def sb_to_obj(sb: SBResult) -> dict:
     if sb.kind == "Exact":
-        return {"kind": "Exact", "value": str(sb.value)}
-    obj: dict = {"kind": "Range", "lower": str(sb.lower), "upper": str(sb.upper)}
+        return {"kind": "Exact", "value": digits(sb.value)}
+    obj: dict = {"kind": "Range", "lower": digits(sb.lower), "upper": digits(sb.upper)}
     if sb.refinement is not None:
         obj["refinement"] = {
-            "values": [str(v) for v in sb.refinement.values],
+            "values": [digits(v) for v in sb.refinement.values],
             "citation": sb.refinement.citation,
         }
     return obj
@@ -99,21 +112,21 @@ def sb_to_obj(sb: SBResult) -> dict:
 
 def sb_human(sb: SBResult) -> str:
     if sb.kind == "Exact":
-        return f"S_B = {sb.value}"
+        return f"S_B = {digits(sb.value)}"
     if sb.refinement is None:
-        return f"S_B ∈ [{sb.lower}, {sb.upper}]"
+        return f"S_B ∈ [{digits(sb.lower)}, {digits(sb.upper)}]"
     values = sb.refinement.values
     if len(values) == 1:
-        return f"S_B = {values[0]} (refined; {sb.refinement.label})"
-    joined = ", ".join(str(v) for v in values)
+        return f"S_B = {digits(values[0])} (refined; {sb.refinement.label})"
+    joined = ", ".join(map(digits, values))
     return f"S_B ∈ {{{joined}}} (refined; {sb.refinement.label})"
 
 
 def sb_cell(sb: SBResult) -> str:
     """Compact single-cell form for tables: '43', '[5,9]', '[5,9]{5,6}'."""
     if sb.kind == "Exact":
-        return str(sb.value)
-    cell = f"[{sb.lower},{sb.upper}]"
+        return digits(sb.value)
+    cell = f"[{digits(sb.lower)},{digits(sb.upper)}]"
     if sb.refinement is not None:
         cell += _braced(sb.refinement.values)
     return cell
@@ -122,15 +135,20 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
+def volume_human(volume: NormalizedVolume) -> str:
+    """'2·π^4/4!': the volume in units of pi^n/n!."""
+    return f"{digits(volume.units)}·π^{digits(volume.dim)}/{digits(volume.dim)}!"
+
+
 def report_to_obj(report: Report) -> dict:
     return {
         "space": report.space,
-        "n": str(report.n),
-        "rank": str(report.rank),
-        "degree": str(report.degree),
-        "gamma": str(report.gamma),
-        "volume": {"units": str(report.volume.units), "dim": str(report.volume.dim)},
-        "gromov_width_units": str(report.gromov_width_units),
+        "n": digits(report.n),
+        "rank": digits(report.rank),
+        "degree": digits(report.degree),
+        "gamma": digits(report.gamma),
+        "volume": {"units": digits(report.volume.units), "dim": digits(report.volume.dim)},
+        "gromov_width_units": digits(report.gromov_width_units),
         "sb": sb_to_obj(report.sb),
         "case": report.case,
         "warnings": list(report.warnings),
@@ -144,18 +162,18 @@ def render_report_json(report: Report) -> str:
 
 def render_report_human(report: Report) -> str:
     sb = report.sb
-    fields: list[tuple[str, object]] = [
+    fields = [
         ("space", report.space),
-        ("complex dim", f"n = {report.n}   (2n = {report.two_n})"),
-        ("rank", report.rank),
-        ("degree", report.degree),
-        ("gamma", report.gamma),
-        ("volume", report.volume.render()),
-        ("Gromov width", f"{report.gromov_width_units}·π"),
+        ("complex dim", f"n = {digits(report.n)}   (2n = {digits(report.two_n)})"),
+        ("rank", digits(report.rank)),
+        ("degree", digits(report.degree)),
+        ("gamma", digits(report.gamma)),
+        ("volume", volume_human(report.volume)),
+        ("Gromov width", f"{digits(report.gromov_width_units)}·π"),
         ("clause", report.case),
     ]
     if sb.kind == "Range":
-        fields.append(("bounds", f"max(n+1, deg+1) = {sb.lower} <= S_B <= {sb.upper} = 2n+1"))
+        fields.append(("bounds", f"max(n+1, deg+1) = {digits(sb.lower)} <= S_B <= {digits(sb.upper)} = 2n+1"))
     fields.extend(("warning", warning) for warning in report.warnings)
     lines = [f"{label + ':':<16}{value}" for label, value in fields]
     lines.append("citations:")
@@ -188,19 +206,20 @@ def render_report_csv(report: Report) -> str:
 def render_report_latex(report: Report) -> str:
     sb = report.sb
     if sb.kind == "Exact":
-        sb_tex = f"$S_B = {sb.value}$"
+        sb_tex = f"$S_B = {digits(sb.value)}$"
     elif sb.refinement is None:
-        sb_tex = f"$S_B \\in [{sb.lower}, {sb.upper}]$"
+        sb_tex = f"$S_B \\in [{digits(sb.lower)}, {digits(sb.upper)}]$"
     else:
         refined = latex_escape(_braced(sb.refinement.values))
-        sb_tex = f"$S_B \\in {refined} \\subset [{sb.lower}, {sb.upper}]$"
+        sb_tex = f"$S_B \\in {refined} \\subset [{digits(sb.lower)}, {digits(sb.upper)}]$"
+    units, dim = digits(report.volume.units), digits(report.volume.dim)
     rows = [
         ("space", latex_escape(report.space)),
-        ("$n$", str(report.n)),
-        ("rank", str(report.rank)),
-        ("degree", str(report.degree)),
-        ("$\\Gamma$", str(report.gamma)),
-        ("volume", f"${report.volume.units}\\,\\pi^{{{report.volume.dim}}}/{report.volume.dim}!$"),
+        ("$n$", digits(report.n)),
+        ("rank", digits(report.rank)),
+        ("degree", digits(report.degree)),
+        ("$\\Gamma$", digits(report.gamma)),
+        ("volume", f"${units}\\,\\pi^{{{dim}}}/{dim}!$"),
         ("Gromov width", "$\\pi$"),
         ("clause", latex_escape(report.case)),
         ("$S_B$", sb_tex),
@@ -216,15 +235,15 @@ def scan_to_obj(scan: ScanResult) -> dict:
         "family": scan.family,
         "rows": [
             {
-                "param": str(row.param),
-                "n": str(row.n),
-                "degree": str(row.degree),
+                "param": digits(row.param),
+                "n": digits(row.n),
+                "degree": digits(row.degree),
                 "sb": sb_to_obj(row.sb),
                 "clause": row.clause,
             }
             for row in scan.rows
         ],
-        "first_exact": None if scan.first_exact is None else str(scan.first_exact),
+        "first_exact": None if scan.first_exact is None else digits(scan.first_exact),
         "footnotes": list(scan.footnotes),
     }
 
@@ -232,7 +251,7 @@ def scan_to_obj(scan: ScanResult) -> dict:
 def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
     """One row of text cells per scan row: param, n, degree, S_B, clause."""
     return [
-        (str(row.param), str(row.n), str(row.degree), sb_cell(row.sb), row.clause)
+        (digits(row.param), digits(row.n), digits(row.degree), sb_cell(row.sb), row.clause)
         for row in scan.rows
     ]
 
@@ -276,8 +295,8 @@ def diagnostic_to_obj(diag: Diagnostic) -> dict:
         "left": diag.left,
         "right": diag.right,
         "dims_match": diag.dims_match,
-        "degree_left": str(diag.degree_left),
-        "degree_right": str(diag.degree_right),
+        "degree_left": digits(diag.degree_left),
+        "degree_right": digits(diag.degree_right),
         "verdict": diag.verdict,
     }
 
@@ -303,7 +322,7 @@ def render_check_human(result: CheckResult) -> str:
             note = " (expected)" if oracle.is_expected(diag) else " (UNEXPECTED)"
         lines.append(
             f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
-            f"degrees {diag.degree_left} vs {diag.degree_right}: {diag.verdict}{note}"
+            f"degrees {digits(diag.degree_left)} vs {digits(diag.degree_right)}: {diag.verdict}{note}"
         )
     if result.ok:
         passes = sum(d.verdict == "Pass" for d in result.diagnostics)
@@ -333,8 +352,8 @@ def render_check_latex(result: CheckResult) -> str:
         (
             latex_escape(f"{d.left} vs {d.right}"),
             "yes" if d.dims_match else "no",
-            str(d.degree_left),
-            str(d.degree_right),
+            digits(d.degree_left),
+            digits(d.degree_right),
             d.verdict,
         )
         for d in result.diagnostics

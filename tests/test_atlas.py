@@ -140,9 +140,9 @@ def test_builtin_table_has_the_four_entries(table):
 
 
 def test_refinement_label_is_citation_head():
-    refinement = Refinement((4,), "CP^n rule; somewhere specific")
+    refinement = Refinement("I(1,*)", (4,), "CP^n rule; somewhere specific")
     assert refinement.label == "CP^n rule"
-    assert Refinement((4,), "no head here").label == "no head here"
+    assert Refinement("I(1,*)", (4,), "no head here").label == "no head here"
 
 
 def test_table_from_lines_parses_sets_intervals_and_rule():
@@ -163,7 +163,7 @@ def test_table_from_lines_parses_sets_intervals_and_rule():
 def test_lookup_takes_the_first_record_of_a_duplicated_key():
     table = RefinementTable.from_lines(["I(2,5) | {7,8} | first; .", "I(3,5) | [9,10] | second; ."])
     assert [entry.pattern for entry in table.entries] == ["I(2,5)", "I(2,5)"]
-    assert table.lookup(parse("I(2,5)")) == Refinement((7, 8), "first; .")
+    assert table.lookup(parse("I(2,5)")) == Refinement("I(2,5)", (7, 8), "first; .")
 
 
 def test_lookup_explicit_key_beats_the_projective_rule():
@@ -174,9 +174,28 @@ def test_lookup_explicit_key_beats_the_projective_rule():
             "I(1,*) | n_plus_1 | second rule; .",
         ]
     )
-    assert table.lookup(parse("CP(3)")) == Refinement((4, 5), "explicit; .")
-    assert table.lookup(parse("CP(5)")) == Refinement((6,), "rule; .")
+    assert table.lookup(parse("CP(3)")) == Refinement("I(1,4)", (4, 5), "explicit; .")
+    assert table.lookup(parse("CP(5)")) == Refinement("I(1,*)", (6,), "rule; .")
     assert table.lookup(parse("CP(1) x CP(1)")) is None
+
+
+def test_lookup_returns_the_pattern_of_the_record_that_matched():
+    table = RefinementTable.from_lines(
+        [
+            "I(1,*) | n_plus_1 | rule; .",
+            "I(3,5) | [7,10] | interval; .",
+            "I(2,4) | {6,5} | set; .",
+        ]
+    )
+    # an interval record keeps its range; the lookup hands out a tuple
+    assert table.entries[1] == Refinement("I(2,5)", range(7, 11), "interval; .")
+    assert table.lookup(parse("I(2,5)")) == Refinement("I(2,5)", (7, 8, 9, 10), "interval; .")
+    assert table.lookup(parse("I(2,4)")) == Refinement("I(2,4)", (5, 6), "set; .")
+    # the rule's record has no values; its lookup gives n + 1 and its own pattern
+    assert table.rule == Refinement("I(1,*)", None, "rule; .")
+    assert table.lookup(parse("CP(6)")) == Refinement("I(1,*)", (7,), "rule; .")
+    for space in ("I(2,5)", "I(2,4)", "CP(6)"):
+        assert type(table.lookup(parse(space)).values) is tuple
 
 
 def test_table_index_is_derived_from_the_entries_and_read_only():
@@ -186,7 +205,7 @@ def test_table_index_is_derived_from_the_entries_and_read_only():
     with pytest.raises(TypeError):
         table.by_key["IV(5)"] = table.entries[1]
     rebuilt = RefinementTable(table.entries)
-    assert rebuilt == table and hash(rebuilt) == hash(table)
+    assert rebuilt == table
     assert table._replace(entries=table.entries[1:]).rule is None
 
 

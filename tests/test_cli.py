@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -385,6 +386,16 @@ def test_every_command_renders_every_format(capsys, argv, fmt):
     code, out, err = run(capsys, *argv, "--format", fmt)
     assert (code, err) == (0, "")
     assert out.strip()
+
+
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+def test_compute_prints_a_degree_over_the_digit_limit_in_full(capsys, fmt):
+    # degree(I(100,200)) has 16,154 digits, beyond str()'s default 4,300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "compute", "I(100,200)", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert max(map(len, re.findall(r"[0-9]+", out))) == 16_154
+    assert sys.get_int_max_str_digits() == limit
 
 
 # --- README ----------------------------------------------------------------

@@ -1,0 +1,108 @@
+"""Property: every command line ends with a documented exit code.
+
+``cli.main`` is driven with ``compute``, ``table`` and ``check`` argv in
+all four formats, with ``--no-refinements``, with ``--refinements``
+naming a file (a valid table, a malformed one, a contradicting one or a
+missing path) and with neither.  The exit code must be 0, 2, 3 or 4 (a
+``SystemExit`` from argparse counts as its code), no other exception
+may escape, and each example must finish within the deadline.
+
+Every drawn integer has at most two digits and every exponent is at
+most 4.  The size of a parameter is still unbounded in the program:
+``compute I(2000,4000)`` runs for minutes, because no budget yet bounds
+the work of a degree before it is evaluated.  Larger draws would time
+out on that known gap instead of testing the exit-code contract.
+"""
+
+import contextlib
+import io
+from datetime import timedelta
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hssatlas import cli
+
+EXIT_CODES = {0, 2, 3, 4}
+
+# Two digits at most; a few malformed integers too.
+params = st.integers(0, 99)
+ints = params.map(str) | st.sampled_from(["", "x", "-1", "+5", "1_0"])
+
+valid_atoms = st.one_of(
+    st.lists(params, min_size=2, max_size=2, unique=True).map(lambda ks: "I({},{})".format(*sorted(ks))),
+    st.builds("CP({})".format, params),
+    st.builds("{}({})".format, st.sampled_from(["II", "III", "IV"]), params),
+)
+# any kind, or none, with any number of possibly malformed arguments
+loose_atoms = st.builds(
+    lambda kind, args: f"{kind}({','.join(args)})",
+    st.sampled_from(["I", "II", "IV", "V", "CP", ""]),
+    st.lists(ints, max_size=3),
+)
+
+
+def products(atoms):
+    terms = atoms | st.builds("({})^{}".format, atoms, st.integers(0, 4))
+    factors = st.lists(terms, min_size=1, max_size=3)
+    return st.builds(lambda parts, op: op.join(parts), factors, st.sampled_from([" x ", "*"]))
+
+
+expressions = st.one_of(
+    products(valid_atoms),
+    products(valid_atoms | loose_atoms),
+    st.text(alphabet="()x*,I ", max_size=8),
+)
+
+families = st.sampled_from(["II", "III", "IV", "V", "I", "II:k=3"]) | ints.map("I:k={}".format)
+ranges = st.one_of(
+    st.lists(params, min_size=2, max_size=2).map(lambda ends: "{}..{}".format(*sorted(ends))),
+    st.builds("{}..{}".format, ints, ints),
+    st.sampled_from(["", "3", "3...5"]),
+)
+
+commands = st.one_of(
+    expressions.map(lambda expr: ["compute", expr]),
+    st.builds(lambda family, span: ["table", family, span], families, ranges),
+    st.just(["check"]),
+)
+formats = st.sampled_from([*cli.FORMATS, "xml"])
+
+TABLES = {
+    "valid": "I(1,*) | n_plus_1 | rule; .\nI(2,4) | {5,6} | set; .\nI(3,5) | [7,10] | interval; .\n",
+    "malformed": "I(2,4) | {5,6}\n",
+    "contradicting": "I(2,4) | [1,99] | too wide; .\n",
+}
+
+
+@pytest.fixture(scope="module")
+def refinement_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("refinements")
+    for name, text in TABLES.items():
+        (folder / f"{name}.txt").write_text(text, encoding="utf-8")
+    return {name: str(folder / f"{name}.txt") for name in [*TABLES, "missing"]}
+
+
+def _exit_code(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+# The largest draws, twelve factors of dimension up to 4,950, take about
+# 3 s on a 2-vCPU host; the deadline leaves room for a slower one.
+@settings(
+    max_examples=200,
+    deadline=timedelta(seconds=20),
+)
+@given(command=commands, fmt=formats, overlay=st.sampled_from(["builtin", "off", *TABLES, "missing"]))
+def test_every_command_line_ends_with_a_documented_exit_code(refinement_paths, command, fmt, overlay):
+    argv = [*command, "--format", fmt]
+    if overlay == "off":
+        argv.append("--no-refinements")
+    elif overlay != "builtin":
+        argv += ["--refinements", refinement_paths[overlay]]
+    assert _exit_code(argv) in EXIT_CODES, argv

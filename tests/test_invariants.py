@@ -15,6 +15,7 @@ from hssatlas.invariants import (
     multinomial_ratio,
     volume_units,
 )
+from hssatlas.render import volume_human
 from hssatlas.spaces import InvalidParams, SpaceExpr, parse, type_i, type_ii, type_iii, type_iv
 
 from test_spaces import space_exprs
@@ -132,7 +133,7 @@ def test_gromov_width_is_one_unit_of_pi(expr):
 
 
 def test_volume_render():
-    assert volume_units(parse("I(2,4)")).render() == "2·π^4/4!"
+    assert volume_human(volume_units(parse("I(2,4)"))) == "2·π^4/4!"
 
 
 def test_degree_integrality_and_cross_path_over_mini_sweep():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hssatlas import oracle
 from hssatlas.oracle import (
     BRUTE_FORCE_CELL_LIMIT,
     ISOMORPHISM_PAIRS,
@@ -107,6 +108,29 @@ def test_check_type_i_degree_hook_only_range():
         for k in range(1, s):
             shape = RectShape(min(k, s - k), max(k, s - k))
             assert count_syt_hook(shape) == degree_irreducible(type_i(k, s))
+
+
+def test_check_type_i_degree_can_skip_the_enumeration(monkeypatch):
+    def refuse(shape):
+        raise AssertionError(f"enumerated {shape}")
+
+    monkeypatch.setattr(oracle, "count_syt_bruteforce", refuse)
+    assert check_type_i_degree(3, 7, brute_force=False) == "Pass"
+    with pytest.raises(AssertionError, match="enumerated"):
+        check_type_i_degree(3, 7)
+
+
+def test_the_tableau_sweep_is_one_check_per_case(monkeypatch):
+    calls = []
+    real = oracle.check_type_i_degree
+
+    def record(k, s, brute_force=True):
+        calls.append((k, s, brute_force))
+        return real(k, s, brute_force=brute_force)
+
+    monkeypatch.setattr(oracle, "check_type_i_degree", record)
+    assert oracle._syt_cross_check() == (49, 0)
+    assert calls == [(k, s, s <= 8) for s in range(2, 15) for k in range(1, s // 2 + 1)]
 
 
 def test_isomorphism_diagnostics_expected_verdicts():

@@ -1,19 +1,22 @@
-"""Byte-exact goldens for report and scan output in all four formats.
+"""Byte-exact goldens for report, scan and check output in all four formats.
 
 Each file under ``tests/golden/`` holds the stdout bytes that
-``hssatlas compute`` or ``hssatlas table`` prints for one case and one
-format (the renderer's text plus the final newline).  The cases cover
-every shape of S_B cell: refined from an interval, the projective rule,
-a bare bracket, an exact value, plus a warning, a product and both scan
-footnotes.  A golden changes only with an intended, stated byte change.
+``hssatlas compute``, ``hssatlas table`` or ``hssatlas check`` prints
+for one case and one format (the renderer's text plus the final
+newline).  The cases cover every shape of S_B cell: refined from an
+interval, the projective rule, a bare bracket, an exact value, plus a
+warning, a product and both scan footnotes.  A golden changes only with
+an intended, stated byte change.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from hssatlas import render
 from hssatlas.atlas import CLAUSE_EXACT, CLAUSE_RANGE, RefinementTable, report, threshold_scan
+from hssatlas.oracle import RectShape, count_syt_hook, run_checks
 from hssatlas.spaces import parse
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -55,6 +58,16 @@ def test_scan_bytes(name, fmt):
     _assert_golden(name, fmt, getattr(render, f"render_scan_{fmt}")(scan))
 
 
+@pytest.fixture(scope="module")
+def checks():
+    return run_checks()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_check_bytes(checks, fmt):
+    _assert_golden("check", fmt, getattr(render, f"render_check_{fmt}")(checks))
+
+
 @pytest.mark.parametrize("expr,clause", [("II(6)", CLAUSE_EXACT), ("I(2,5)", CLAUSE_RANGE)])
 def test_sb_clause_is_the_report_case_and_the_scan_clause(expr, clause):
     rep = report(parse(expr), BUILTIN)
@@ -62,3 +75,47 @@ def test_sb_clause_is_the_report_case_and_the_scan_clause(expr, clause):
     scan = threshold_scan("I", 3, 8, k=2, table=BUILTIN)
     rows = [row for row in scan.rows if row.sb.kind == rep.sb.kind]
     assert rows and all(row.sb.clause == row.clause == clause for row in rows)
+
+
+# --- integers over the interpreter's digit limit ----------------------------
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default int-to-str limit, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
+
+
+def _decimal(n: int) -> str:
+    """Decimal digits nine at a time, independent of ``render.digits``."""
+    groups = []
+    while n >= 10**9:
+        n, low = divmod(n, 10**9)
+        groups.append(f"{low:09d}")
+    return str(n) + "".join(reversed(groups))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_integers_over_the_digit_limit_render_in_full(default_digit_limit, fmt):
+    # degree(I(100,200)) is the tableau count of the 100 x 100 square
+    d = count_syt_hook(RectShape(100, 100))
+    degree_text, sb_text = _decimal(d), _decimal(d + 1)
+    assert len(degree_text) == 16_154 > default_digit_limit
+    rep = report(parse("I(100,200)"), BUILTIN)
+    text = getattr(render, f"render_report_{fmt}")(rep)
+    assert text.count(degree_text) == 2  # the degree and the volume
+    assert text.count(sb_text) == 2  # Gamma and S_B
+    scan = threshold_scan("I", 200, 200, k=100)
+    text = getattr(render, f"render_scan_{fmt}")(scan)
+    assert text.count(degree_text) == 1 and text.count(sb_text) == 1
+    # the process-wide limit is left as it was
+    assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_digits_agrees_with_str_on_both_sides_of_the_limit(default_digit_limit):
+    for n in (0, 7, 10**4299, 10**4300 - 1, 10**4300, 3**20000):
+        assert render.digits(n) == _decimal(n)
+    assert sys.get_int_max_str_digits() == default_digit_limit
