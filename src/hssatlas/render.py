@@ -6,15 +6,20 @@ consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
 comes from one writer (``_csv``) and every LaTeX table, with its
 footnotes, from one frame (``_tabular``); the cells of a result kind
 are built once and shared by its formats, and every integer is
-written by ``digits``.  ``json``, ``csv`` and the oracle module are
-imported only by the renderers that use them, so a process loads them
-only for the formats and commands it runs.  All renderers are
+written by ``digits``.  A report's renderers convert each distinct
+integer once per call, through a ``cache(digits)`` that dies with the
+call: an exact report prints its degree twice (the degree and the
+volume's units) and Gamma twice (gamma and S_B).  ``json``, ``csv``
+and the oracle module are imported only by the renderers that use
+them, so a process loads them only for the formats and commands it
+runs.  All renderers are
 deterministic: the same value always produces the same bytes.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .atlas import Report, SBResult, ScanResult
 from .invariants import NormalizedVolume
@@ -57,16 +62,21 @@ def _json(obj: object) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _csv(header: Iterable[str], rows: Iterable[Iterable[object]], notes: Iterable[str] = ()) -> str:
+def _csv(
+    header: Iterable[str],
+    rows: Iterable[Iterable[object]],
+    notes: Iterable[str] = (),
+    text: Callable[[int], str] = digits,
+) -> str:
     """A header, the rows (None writes as an empty field, an integer in
-    full), then one '# note:' line per note."""
+    full by ``text``), then one '# note:' line per note."""
     import csv
     import io
 
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows([digits(cell) if isinstance(cell, int) else cell for cell in row] for row in rows)
+    writer.writerows([text(cell) if isinstance(cell, int) else cell for cell in row] for row in rows)
     buffer.writelines(f"# note: {note}\n" for note in notes)
     return buffer.getvalue().rstrip("\n")
 
@@ -98,10 +108,10 @@ def _braced(values: Iterable[int]) -> str:
     return "{" + ",".join(map(digits, values)) + "}"
 
 
-def sb_to_obj(sb: SBResult) -> dict:
+def sb_to_obj(sb: SBResult, text: Callable[[int], str] = digits) -> dict:
     if sb.kind == "Exact":
-        return {"kind": "Exact", "value": digits(sb.value)}
-    obj: dict = {"kind": "Range", "lower": digits(sb.lower), "upper": digits(sb.upper)}
+        return {"kind": "Exact", "value": text(sb.value)}
+    obj: dict = {"kind": "Range", "lower": text(sb.lower), "upper": text(sb.upper)}
     if sb.refinement is not None:
         obj["refinement"] = {
             "values": [digits(v) for v in sb.refinement.values],
@@ -110,11 +120,11 @@ def sb_to_obj(sb: SBResult) -> dict:
     return obj
 
 
-def sb_human(sb: SBResult) -> str:
+def sb_human(sb: SBResult, text: Callable[[int], str] = digits) -> str:
     if sb.kind == "Exact":
-        return f"S_B = {digits(sb.value)}"
+        return f"S_B = {text(sb.value)}"
     if sb.refinement is None:
-        return f"S_B ∈ [{digits(sb.lower)}, {digits(sb.upper)}]"
+        return f"S_B ∈ [{text(sb.lower)}, {text(sb.upper)}]"
     values = sb.refinement.values
     if len(values) == 1:
         return f"S_B = {digits(values[0])} (refined; {sb.refinement.label})"
@@ -135,21 +145,23 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
-def volume_human(volume: NormalizedVolume) -> str:
+def volume_human(volume: NormalizedVolume, text: Callable[[int], str] = digits) -> str:
     """'2·π^4/4!': the volume in units of pi^n/n!."""
-    return f"{digits(volume.units)}·π^{digits(volume.dim)}/{digits(volume.dim)}!"
+    dim = text(volume.dim)
+    return f"{text(volume.units)}·π^{dim}/{dim}!"
 
 
 def report_to_obj(report: Report) -> dict:
+    text = cache(digits)
     return {
         "space": report.space,
-        "n": digits(report.n),
-        "rank": digits(report.rank),
-        "degree": digits(report.degree),
-        "gamma": digits(report.gamma),
-        "volume": {"units": digits(report.volume.units), "dim": digits(report.volume.dim)},
-        "gromov_width_units": digits(report.gromov_width_units),
-        "sb": sb_to_obj(report.sb),
+        "n": text(report.n),
+        "rank": text(report.rank),
+        "degree": text(report.degree),
+        "gamma": text(report.gamma),
+        "volume": {"units": text(report.volume.units), "dim": text(report.volume.dim)},
+        "gromov_width_units": text(report.gromov_width_units),
+        "sb": sb_to_obj(report.sb, text),
         "case": report.case,
         "warnings": list(report.warnings),
         "citations": list(report.citations),
@@ -162,23 +174,24 @@ def render_report_json(report: Report) -> str:
 
 def render_report_human(report: Report) -> str:
     sb = report.sb
+    text = cache(digits)
     fields = [
         ("space", report.space),
-        ("complex dim", f"n = {digits(report.n)}   (2n = {digits(report.two_n)})"),
-        ("rank", digits(report.rank)),
-        ("degree", digits(report.degree)),
-        ("gamma", digits(report.gamma)),
-        ("volume", volume_human(report.volume)),
-        ("Gromov width", f"{digits(report.gromov_width_units)}·π"),
+        ("complex dim", f"n = {text(report.n)}   (2n = {text(report.two_n)})"),
+        ("rank", text(report.rank)),
+        ("degree", text(report.degree)),
+        ("gamma", text(report.gamma)),
+        ("volume", volume_human(report.volume, text)),
+        ("Gromov width", f"{text(report.gromov_width_units)}·π"),
         ("clause", report.case),
     ]
     if sb.kind == "Range":
-        fields.append(("bounds", f"max(n+1, deg+1) = {digits(sb.lower)} <= S_B <= {digits(sb.upper)} = 2n+1"))
+        fields.append(("bounds", f"max(n+1, deg+1) = {text(sb.lower)} <= S_B <= {text(sb.upper)} = 2n+1"))
     fields.extend(("warning", warning) for warning in report.warnings)
     lines = [f"{label + ':':<16}{value}" for label, value in fields]
     lines.append("citations:")
     lines.extend(f"  - {citation}" for citation in report.citations)
-    lines.append(sb_human(sb))
+    lines.append(sb_human(sb, text))
     return "\n".join(lines)
 
 
@@ -200,25 +213,26 @@ def render_report_csv(report: Report) -> str:
         "case": report.case,
         "warnings": "; ".join(report.warnings),
     }
-    return _csv(columns, [columns.values()])
+    return _csv(columns, [columns.values()], text=cache(digits))
 
 
 def render_report_latex(report: Report) -> str:
     sb = report.sb
+    text = cache(digits)
     if sb.kind == "Exact":
-        sb_tex = f"$S_B = {digits(sb.value)}$"
+        sb_tex = f"$S_B = {text(sb.value)}$"
     elif sb.refinement is None:
-        sb_tex = f"$S_B \\in [{digits(sb.lower)}, {digits(sb.upper)}]$"
+        sb_tex = f"$S_B \\in [{text(sb.lower)}, {text(sb.upper)}]$"
     else:
         refined = latex_escape(_braced(sb.refinement.values))
-        sb_tex = f"$S_B \\in {refined} \\subset [{digits(sb.lower)}, {digits(sb.upper)}]$"
-    units, dim = digits(report.volume.units), digits(report.volume.dim)
+        sb_tex = f"$S_B \\in {refined} \\subset [{text(sb.lower)}, {text(sb.upper)}]$"
+    units, dim = text(report.volume.units), text(report.volume.dim)
     rows = [
         ("space", latex_escape(report.space)),
-        ("$n$", digits(report.n)),
-        ("rank", digits(report.rank)),
-        ("degree", digits(report.degree)),
-        ("$\\Gamma$", digits(report.gamma)),
+        ("$n$", text(report.n)),
+        ("rank", text(report.rank)),
+        ("degree", text(report.degree)),
+        ("$\\Gamma$", text(report.gamma)),
         ("volume", f"${units}\\,\\pi^{{{dim}}}/{dim}!$"),
         ("Gromov width", "$\\pi$"),
         ("clause", latex_escape(report.case)),

@@ -1,16 +1,20 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hssatlas.arith import (
+    EXACT_DIVISION_MIN_BITS,
     FactorialRatio,
     NonIntegralRatio,
     eval_ratio_direct,
     eval_ratio_legendre,
+    exact_quotient,
     factorial,
 )
 from hssatlas.invariants import degree_ratio
-from hssatlas.spaces import type_i, type_ii, type_iii
+from hssatlas.spaces import parse, type_i, type_ii, type_iii
 
 
 def test_factorial_known_values():
@@ -126,3 +130,82 @@ def test_both_evaluators_agree_on_large_arguments(num, den):
             eval_ratio_legendre(ratio)
         return
     assert eval_ratio_legendre(ratio) == direct
+
+
+# --- exact division ----------------------------------------------------------
+
+CUTOFF = EXACT_DIVISION_MIN_BITS
+
+
+def _odd(bits: int) -> int:
+    """An odd number of exactly ``bits`` bits with irregular digits."""
+    return (3**bits >> (3**bits).bit_length() - bits) | 1 | 1 << (bits - 1)
+
+
+@given(
+    q=st.integers(min_value=0, max_value=2 ** (2 * CUTOFF)),
+    d=st.integers(min_value=0, max_value=2 ** (2 * CUTOFF)).map(lambda n: 2 * n + 1),
+    e=st.integers(min_value=0, max_value=300),
+    data=st.data(),
+)
+def test_exact_quotient_returns_q_and_rejects_every_remainder(q, d, e, data):
+    """num = q * d * 2^e gives q back; num + r with 0 < r < den gives None.
+    Denominators are drawn on both sides of the divmod cutoff."""
+    den = d << e
+    num = q * den
+    assert exact_quotient(num, den) == q
+    if den > 1:
+        r = data.draw(st.integers(min_value=1, max_value=den - 1), label="r")
+        assert exact_quotient(num + r, den) is None
+
+
+@pytest.mark.parametrize("den_bits", [CUTOFF - 1, CUTOFF, 3 * CUTOFF])
+def test_exact_quotient_on_both_sides_of_the_cutoff(den_bits):
+    den = _odd(den_bits - 40) << 40
+    assert den.bit_length() == den_bits
+    for q in (0, 1, 2, 3, _odd(1000), _odd(CUTOFF), 1 << CUTOFF):
+        assert exact_quotient(q * den, den) == q
+        assert exact_quotient(q * den + 1, den) is None
+        assert exact_quotient(q * den + den - 1, den) is None
+        assert exact_quotient(q * den + (den >> 1), den) is None
+
+
+@pytest.mark.parametrize("den_bits", [64, 2 * CUTOFF])
+def test_exact_quotient_of_a_quotient_with_at_most_one_bit(den_bits):
+    """k = bitlen(num >> e) - bitlen(d) + 1 <= 1: the quotient is 0 or 1,
+    or the numerator is smaller than the denominator."""
+    d = _odd(den_bits)
+    for e in (0, 7):
+        den = d << e
+        assert exact_quotient(den, den) == 1  # k = 1
+        assert exact_quotient(0, den) == 0  # k <= 0
+        assert exact_quotient(den + (2 << e), den) is None  # k = 1, same bit length
+        assert exact_quotient(den - (2 << e), den) is None  # k = 1, num < den
+        assert exact_quotient((d >> 1) << e, den) is None  # k = 0
+        assert exact_quotient(1 << e, den) is None  # k <= 0
+
+
+@pytest.mark.parametrize("den_bits", [64, 2 * CUTOFF])
+def test_exact_quotient_when_the_denominator_has_more_factors_of_2(den_bits):
+    d = _odd(den_bits)
+    for q in (1, _odd(200), _odd(CUTOFF)):
+        # num has 2^5, den has 2^6: never an integer, whatever the odd parts
+        assert exact_quotient((q * d) << 5, d << 6) is None
+        assert exact_quotient((q * d) << 6, d << 6) == q
+        assert exact_quotient((q * d) << 9, d << 6) == q << 3
+
+
+def test_exact_quotient_on_large_family_ratios_matches_divmod():
+    """The large spaces of the benchmark's report pool, against a
+    schoolbook divmod reference computed here."""
+    for text in ("II(149)", "III(140)", "I(120,240)", "I(6,220)"):
+        ratio = degree_ratio(parse(text).factors[0])
+        num = math.prod(map(math.factorial, ratio.numerator_factorials))
+        den = math.prod(map(math.factorial, ratio.denominator_factorials))
+        assert den.bit_length() >= CUTOFF, text  # the 2-adic path
+        quotient, remainder = divmod(num, den)
+        assert remainder == 0
+        assert exact_quotient(num, den) == quotient
+        assert exact_quotient(num + 1, den) is None
+        v = (quotient & -quotient).bit_length() - 1  # 2^v exactly divides the quotient
+        assert exact_quotient(num, den << (v + 1)) is None  # one factor of 2 short

@@ -119,3 +119,24 @@ def test_digits_agrees_with_str_on_both_sides_of_the_limit(default_digit_limit):
     for n in (0, 7, 10**4299, 10**4300 - 1, 10**4300, 3**20000):
         assert render.digits(n) == _decimal(n)
     assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_report_render_converts_each_distinct_integer_once(monkeypatch, fmt):
+    """An exact report prints its degree twice (degree and volume units)
+    and Gamma twice (gamma and S_B), but converts each to decimal once
+    per render call, and no conversion is kept for the next call."""
+    rep = report(parse("II(6)"), BUILTIN)
+    assert rep.sb.kind == "Exact" and rep.volume.units == rep.degree and rep.sb.value == rep.gamma
+    expected = getattr(render, f"render_report_{fmt}")(rep)
+    converted = []
+
+    def counting_digits(n):
+        converted.append(n)
+        return str(n)
+
+    monkeypatch.setattr(render, "digits", counting_digits)
+    for _ in range(2):
+        assert getattr(render, f"render_report_{fmt}")(rep) == expected
+    assert converted.count(rep.degree) == 2 and converted.count(rep.gamma) == 2
+    assert len(converted) == 2 * len(set(converted))
