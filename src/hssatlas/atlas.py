@@ -19,7 +19,9 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
-from .spaces import FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, parse, read_int
+from .spaces import (
+    COINCIDENCES, FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, pair_label, parse, read_int,
+)
 
 CLAUSE_EXACT = "Thm1(i)"
 CLAUSE_RANGE = "Thm1(ii)"
@@ -247,9 +249,10 @@ _CLAUSE_CITATIONS = {
 }
 
 # The type II form below s=6 and the type III form below s=5 are outside
-# the range the classification uses them in; III(2) in particular
-# disagrees with the III(2) ~ IV(3) isomorphism (degree 1 vs 2).
+# the range the classification uses them in; one whose coincidence `check`
+# expects to mismatch names that pair.
 _SMALL_PARAM_LIMIT = {"II": 5, "III": 4}
+_MISMATCH_LABELS = {row.spelling: pair_label(*row.pair) for row in COINCIDENCES if row.verdict == "Mismatch"}
 
 
 def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
@@ -258,16 +261,10 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
         limit = _SMALL_PARAM_LIMIT.get(f.kind)
         if limit is None or f.params[0] > limit:
             continue
-        if f.kind == "III" and f.params[0] == 2:
-            notes.append(
-                "III(2): small-parameter degree formula; conflicts with the "
-                "III_2 vs IV_3 isomorphism diagnostic (run `check`)"
-            )
-        else:
-            notes.append(
-                f"{f.render()}: small-parameter degree formula; "
-                "see the isomorphism diagnostics (run `check`)"
-            )
+        see = "see the isomorphism diagnostics"
+        if f in _MISMATCH_LABELS:
+            see = f"conflicts with the {_MISMATCH_LABELS[f]} isomorphism diagnostic"
+        notes.append(f"{f.render()}: small-parameter degree formula; {see} (run `check`)")
     return tuple(dict.fromkeys(notes))
 
 

@@ -26,8 +26,8 @@ from .spaces import FAMILIES, IrreducibleSpace, SpaceExpr
 
 def degree_ratio(space: IrreducibleSpace) -> FactorialRatio | None:
     """Factorial-ratio form of the irreducible embedding degree, or None
-    for a family whose degree has none (type IV).  IV(1) and IV(2) raise
-    ``InvalidParams``: ``SpaceExpr`` rewrites them into type I factors."""
+    for a family whose degree has none (type IV).  A spelling that
+    ``SpaceExpr`` rewrites (``spaces.COINCIDENCES``) may raise ``InvalidParams``."""
     value = FAMILIES[space.kind].degree(*space.params)
     return None if isinstance(value, int) else value
 

@@ -5,9 +5,9 @@ k x (s-k) rectangle.  Two counters that share no arithmetic with the
 factorial-ratio evaluators recompute that number: exhaustive
 backtracking (a literal enumeration) and the hook-length formula.
 
-A fixed list of low-dimensional isomorphisms between the families is
-probed by evaluating dimension and degree on both sides.  Exactly one
-pair is expected to disagree -- III(2) vs IV(3), where the type III
+The low-rank coincidences of ``spaces.COINCIDENCES`` that carry a
+verdict are probed by evaluating dimension and degree on both sides.
+The table names the one pair expected to disagree, where the type III
 closed form yields 1 against the quadric's 2.  The diagnostics report
 that defect; nothing in this package patches around it.
 
@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 from .arith import eval_ratio_direct, eval_ratio_legendre
 from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
-from .spaces import IrreducibleSpace, type_i, type_ii, type_iii, type_iv
+from .spaces import COINCIDENCES, IrreducibleSpace, type_i, type_ii, type_iii
 
 BRUTE_FORCE_CELL_LIMIT = 20
 
@@ -143,18 +143,11 @@ class Diagnostic(NamedTuple):
     verdict: str  # "Pass" | "Mismatch"
 
 
-# Classical low-dimensional identifications between the families.
-ISOMORPHISM_PAIRS: tuple[tuple[IrreducibleSpace, IrreducibleSpace], ...] = (
-    (type_ii(2), type_i(1, 2)),
-    (type_ii(3), type_i(1, 4)),
-    (type_ii(4), type_iv(6)),
-    (type_iii(1), type_i(1, 2)),
-    (type_iii(2), type_iv(3)),
-    (type_iv(4), type_i(2, 4)),
+# The probed coincidences, in table order, and those expected to disagree.
+ISOMORPHISM_PAIRS: tuple[tuple[IrreducibleSpace, IrreducibleSpace], ...] = tuple(
+    (row.spelling, *row.factors) for row in COINCIDENCES if row.verdict
 )
-
-# The one pair the degree formulas are known not to reconcile.
-EXPECTED_MISMATCHES = frozenset({("III(2)", "IV(3)")})
+EXPECTED_MISMATCHES = frozenset(row.pair for row in COINCIDENCES if row.verdict == "Mismatch")
 
 
 def isomorphism_diagnostics() -> list[Diagnostic]:
@@ -165,20 +158,10 @@ def isomorphism_diagnostics() -> list[Diagnostic]:
     """
     out = []
     for left, right in ISOMORPHISM_PAIRS:
-        degree_left = degree_irreducible(left)
-        degree_right = degree_irreducible(right)
+        degree_left, degree_right = degree_irreducible(left), degree_irreducible(right)
         dims_match = left.dimension == right.dimension
         verdict = "Pass" if dims_match and degree_left == degree_right else "Mismatch"
-        out.append(
-            Diagnostic(
-                left=left.render(),
-                right=right.render(),
-                dims_match=dims_match,
-                degree_left=degree_left,
-                degree_right=degree_right,
-                verdict=verdict,
-            )
-        )
+        out.append(Diagnostic(left.render(), right.render(), dims_match, degree_left, degree_right, verdict))
     return out
 
 
@@ -238,14 +221,6 @@ def _syt_cross_check() -> tuple[int, int]:
 
 def run_checks() -> CheckResult:
     """Run the arithmetic, tableau and isomorphism cross-checks."""
-    ratios_checked, ratios_failed = _arith_cross_check()
-    syt_checked, syt_failed = _syt_cross_check()
+    ratios, syt = _arith_cross_check(), _syt_cross_check()  # each (checked, failed)
     diagnostics = tuple(isomorphism_diagnostics())
-    return CheckResult(
-        ratios_checked=ratios_checked,
-        ratios_failed=ratios_failed,
-        syt_checked=syt_checked,
-        syt_failed=syt_failed,
-        diagnostics=diagnostics,
-        unexpected=sum(not is_expected(d) for d in diagnostics),
-    )
+    return CheckResult(*ratios, *syt, diagnostics, sum(not is_expected(d) for d in diagnostics))

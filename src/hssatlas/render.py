@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .atlas import Report, SBResult, ScanResult
 from .invariants import NormalizedVolume
+from .spaces import pair_label
 
 if TYPE_CHECKING:
     from .oracle import CheckResult, Diagnostic
@@ -315,11 +316,6 @@ def diagnostic_to_obj(diag: Diagnostic) -> dict:
     }
 
 
-def _pair_label(left: str, right: str) -> str:
-    """'III(2)', 'IV(3)' -> 'III_2 vs IV_3'."""
-    return " vs ".join(name.replace("(", "_").replace(")", "") for name in (left, right))
-
-
 def render_check_human(result: CheckResult) -> str:
     from . import oracle
 
@@ -341,7 +337,7 @@ def render_check_human(result: CheckResult) -> str:
     if result.ok:
         passes = sum(d.verdict == "Pass" for d in result.diagnostics)
         mismatches = len(result.diagnostics) - passes  # all expected when ok
-        expected = ", ".join(_pair_label(*pair) for pair in sorted(oracle.EXPECTED_MISMATCHES))
+        expected = ", ".join(pair_label(*pair) for pair in sorted(oracle.EXPECTED_MISMATCHES))
         lines.append(
             f"summary: arithmetic {arith_status}, tableaux {syt_status}, "
             f"{passes} isomorphism passes, {mismatches} expected mismatch ({expected})"

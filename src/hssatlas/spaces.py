@@ -3,8 +3,10 @@
 ``FAMILIES`` is the one place that knows which families exist, what
 their parameters look like, their embedding degree and its citation;
 the constructor, the factor order, the parser, the scans, the degree
-and the report read it.  An expression denotes a finite product of
-irreducible compact Hermitian symmetric spaces:
+and the report read it.  ``COINCIDENCES`` is the one list of spellings
+that name the same manifold: canonical form takes its rewrites from
+it, and ``check`` its probes.  An expression denotes a finite product
+of irreducible compact Hermitian symmetric spaces:
 
     expr := term (("x" | "*") term)*
     term := atom ("^" exponent)?
@@ -72,8 +74,7 @@ def _degree_ii(s: int) -> FactorialRatio:
 
 
 def _degree_iii(s: int) -> FactorialRatio:
-    # The published closed form, verbatim.  At s <= 4 it disagrees with the
-    # isomorphism III(2) ~ IV(3); the oracle module shows that, unpatched.
+    # The published closed form, verbatim; see COINCIDENCES for III(2).
     evens = tuple(2 * j for j in range(1, s))
     return FactorialRatio((s * (s + 1) // 2,) + evens, tuple(range(s, 2 * s)))
 
@@ -87,8 +88,7 @@ def _degree_iv(s: int) -> int:
     return 2
 
 
-# The families in canonical factor order.  IV(1) ~ CP^1 has rank 1 and
-# IV(2) ~ CP^1 x CP^1 rank 2.
+# The families in canonical factor order; IV(1) and IV(2) have ranks 1 and 2.
 FAMILIES = {
     "I": Family(2, "(k, s)", 2, lambda k, s: (s - k) * k, lambda k, s: min(k, s - k), _degree_i,
                 "degree(I(k,s)): volume of the type I classical domain (Hua); "
@@ -175,6 +175,38 @@ def projective_space(n: int) -> IrreducibleSpace:
     return type_i(1, n + 1)
 
 
+class Coincidence(NamedTuple):
+    """One spelling of a manifold that another spelling also names."""
+
+    spelling: IrreducibleSpace
+    factors: tuple[IrreducibleSpace, ...]  # the same manifold, in canonical factors
+    rewrite: bool  # whether SpaceExpr construction replaces the spelling by the factors
+    verdict: str | None  # what `check` expects of the two degree formulas; None: not probed
+
+    @property
+    def pair(self) -> tuple[str, str]:
+        return self.spelling.render(), " x ".join(f.render() for f in self.factors)
+
+
+# In canonical order of the spelling; the degree formulas disagree on III(2).
+COINCIDENCES = (
+    Coincidence(type_ii(2), (type_i(1, 2),), False, "Pass"),
+    Coincidence(type_ii(3), (type_i(1, 4),), False, "Pass"),
+    Coincidence(type_ii(4), (type_iv(6),), False, "Pass"),
+    Coincidence(type_iii(1), (type_i(1, 2),), False, "Pass"),
+    Coincidence(type_iii(2), (type_iv(3),), False, "Mismatch"),
+    Coincidence(type_iv(1), (type_i(1, 2),), True, None),
+    Coincidence(type_iv(2), (type_i(1, 2), type_i(1, 2)), True, None),
+    Coincidence(type_iv(4), (type_i(2, 4),), False, "Pass"),
+)
+_REWRITES = {row.spelling: row.factors for row in COINCIDENCES if row.rewrite}
+
+
+def pair_label(left: str, right: str) -> str:
+    """'III(2)', 'IV(3)' -> 'III_2 vs IV_3', as warnings and `check` name a pair."""
+    return " vs ".join(name.replace("(", "_").replace(")", "") for name in (left, right))
+
+
 class _SpaceExprFields(NamedTuple):
     factors: tuple[IrreducibleSpace, ...]
 
@@ -185,10 +217,10 @@ class SpaceExpr(_SpaceExprFields):
 
     Construction rewrites the factors: type I factors take k <= s-k
     (both labellings name the same Grassmannian and the degree formula
-    is symmetric in them), IV(1) becomes I(1,2), IV(2) splits into
-    I(1,2) x I(1,2), and factors are sorted by kind (in ``FAMILIES``
-    order), then by params.  Two spellings of one product therefore
-    compare equal, hash equal and render to the same key.
+    is symmetric in them), each spelling that ``COINCIDENCES`` marks as
+    rewritten becomes its factors, and factors are sorted by kind (in
+    ``FAMILIES`` order), then by params.  Two spellings of one product
+    therefore compare equal, hash equal and render to the same key.
     """
 
     __slots__ = ()
@@ -201,12 +233,8 @@ class SpaceExpr(_SpaceExprFields):
             if f.kind == "I":
                 k, s = f.params
                 rewritten.append(type_i(min(k, s - k), s))
-            elif f.kind == "IV" and f.params[0] == 1:
-                rewritten.append(type_i(1, 2))
-            elif f.kind == "IV" and f.params[0] == 2:
-                rewritten.extend((type_i(1, 2), type_i(1, 2)))
             else:
-                rewritten.append(f)
+                rewritten.extend(_REWRITES.get(f, (f,)))
         kinds = list(FAMILIES)
         rewritten.sort(key=lambda f: (kinds.index(f.kind), f.params))
         return super().__new__(cls, tuple(rewritten))

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from hssatlas import cli, oracle
-from hssatlas.spaces import type_ii, type_iv
+from hssatlas.arith import FactorialRatio
+from hssatlas.spaces import FAMILIES, Family, type_ii, type_iv
 
 
 @pytest.fixture(autouse=True)
@@ -178,6 +179,13 @@ def test_table_rejects_an_overlong_range_at_once(capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("InvalidParams: ") and err.count("\n") == 1
+
+
+def test_a_non_integral_degree_exits_3(capsys, monkeypatch):
+    # a toy family whose degree formula is 1!/2!, as a mistyped formula would be
+    toy = Family(1, "(s,)", 1, lambda s: s, lambda s: 1, lambda s: FactorialRatio((1,), (2,)), "toy")
+    monkeypatch.setitem(FAMILIES, "V", toy)
+    assert run(capsys, "compute", "V(1)") == (3, "", "NonIntegralRatio: (1!)/(2!) is not an integer\n")
 
 
 def test_missing_refinement_file_is_a_usage_error(capsys):

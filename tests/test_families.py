@@ -1,10 +1,21 @@
-"""Every row of ``spaces.FAMILIES`` against a hand-written table."""
+"""Every row of ``spaces.FAMILIES`` and of ``spaces.COINCIDENCES``
+against a hand-written table, and each place that reads them."""
 
 import pytest
 
+from hssatlas import cli, oracle
 from hssatlas.atlas import SBResult, report, threshold_scan
 from hssatlas.invariants import degree_irreducible
-from hssatlas.spaces import FAMILIES, Family, InvalidParams, IrreducibleSpace, SpaceExpr, parse
+from hssatlas.spaces import (
+    COINCIDENCES,
+    FAMILIES,
+    Family,
+    InvalidParams,
+    IrreducibleSpace,
+    SpaceExpr,
+    pair_label,
+    parse,
+)
 
 # kind: (least parameters, their canonical key, the scan's k and label,
 #        two (parameters, dimension, rank) samples, head of the degree citation,
@@ -80,3 +91,60 @@ def test_a_new_family_is_one_row(monkeypatch):
     scan = threshold_scan("V", 1, 3)
     assert [(row.n, row.degree) for row in scan.rows] == [(2, 4), (4, 4), (6, 4)]
     assert [row.clause for row in scan.rows] == ["Thm1(i)", "Thm1(ii)", "Thm1(ii)"]
+
+
+# --- coincidences ----------------------------------------------------------
+
+# (spelling, the same manifold in canonical factors, rewritten?, check's verdict)
+EXPECTED_COINCIDENCES = [
+    ("II(2)", "I(1,2)", False, "Pass"),
+    ("II(3)", "I(1,4)", False, "Pass"),
+    ("II(4)", "IV(6)", False, "Pass"),
+    ("III(1)", "I(1,2)", False, "Pass"),
+    ("III(2)", "IV(3)", False, "Mismatch"),
+    ("IV(1)", "I(1,2)", True, None),
+    ("IV(2)", "I(1,2) x I(1,2)", True, None),
+    ("IV(4)", "I(2,4)", False, "Pass"),
+]
+
+
+def test_coincidences_are_the_expected_rows_in_canonical_order():
+    assert [(*row.pair, row.rewrite, row.verdict) for row in COINCIDENCES] == EXPECTED_COINCIDENCES
+    spellings = [row.spelling for row in COINCIDENCES]
+    assert sorted(spellings, key=lambda f: (list(FAMILIES).index(f.kind), f.params)) == spellings
+    for row in COINCIDENCES:
+        assert SpaceExpr(row.factors).factors == row.factors  # already canonical
+        assert row.spelling.dimension == sum(f.dimension for f in row.factors)
+
+
+@pytest.mark.parametrize("row", COINCIDENCES, ids=lambda row: row.pair[0])
+def test_construction_rewrites_exactly_the_rewritten_rows(row):
+    expected = row.factors if row.rewrite else (row.spelling,)
+    assert SpaceExpr((row.spelling,)).factors == expected
+    assert parse(row.pair[0]).factors == expected
+
+
+def test_oracle_constants_are_the_probed_rows():
+    probed = [row for row in COINCIDENCES if row.verdict is not None]
+    assert oracle.ISOMORPHISM_PAIRS == tuple((row.spelling, *row.factors) for row in probed)
+    assert [(left.render(), right.render()) for left, right in oracle.ISOMORPHISM_PAIRS] == [
+        (spelling, factors) for spelling, factors, _, verdict in EXPECTED_COINCIDENCES if verdict
+    ]
+    assert all(type(pair) is tuple and len(pair) == 2 for pair in oracle.ISOMORPHISM_PAIRS)
+    assert oracle.EXPECTED_MISMATCHES == frozenset(
+        row.pair for row in probed if row.verdict == "Mismatch"
+    ) == frozenset({("III(2)", "IV(3)")})
+    verdicts = [d.verdict for d in oracle.isomorphism_diagnostics()]
+    assert verdicts == [row.verdict for row in probed]
+
+
+def test_the_warning_and_check_name_the_mismatch_row_by_one_label(capsys):
+    (row,) = [row for row in COINCIDENCES if row.verdict == "Mismatch"]
+    label = pair_label(*row.pair)
+    assert label == "III_2 vs IV_3"
+    assert report(SpaceExpr((row.spelling,))).warnings == (
+        f"III(2): small-parameter degree formula; conflicts with the {label} "
+        "isomorphism diagnostic (run `check`)",
+    )
+    assert cli.main(["check"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(f"1 expected mismatch ({label})")

@@ -86,6 +86,9 @@ def test_messages_generated_from_the_family_table():
     with pytest.raises(InvalidParams) as err:
         IrreducibleSpace("II", (3, 4))
     assert str(err.value) == "type II takes (s,), got (3, 4)"
+    with pytest.raises(InvalidParams) as err:
+        IrreducibleSpace("W", (1,))
+    assert str(err.value) == "unknown space kind 'W'"
 
 
 def test_trailing_garbage_rejected():
@@ -189,7 +192,8 @@ def test_canonicalize_small_quadrics():
 
 def test_canonical_factor_order():
     expr = parse("IV(5) x I(1,2) x II(3) x I(1,2)")
-    assert expr.render() == "I(1,2) x I(1,2) x II(3) x IV(5)"
+    assert expr.render() == str(expr) == "I(1,2) x I(1,2) x II(3) x IV(5)"
+    assert [str(f) for f in expr.factors] == [f.render() for f in expr.factors]
 
 
 @given(factors=factor_lists)
