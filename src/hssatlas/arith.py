@@ -8,8 +8,9 @@ per-prime exponents.  Each serves as an independent cross-check of the
 other.
 
 The direct evaluator divides with ``exact_quotient``.  Below
-``EXACT_DIVISION_MIN_BITS`` denominator bits that is ``divmod`` and its
-remainder test.  From there on the division is 2-adic (Jebelean, "An
+``EXACT_DIVISION_MIN_BITS`` denominator bits, or for a quotient of
+fewer than ``EXACT_DIVISION_MIN_QUOTIENT_BITS`` bits, that is ``divmod``
+and its remainder test.  Otherwise the division is 2-adic (Jebelean, "An
 algorithm for exact division", J. Symbolic Computation 15, 1993): with
 den = 2^e * d and d odd, a numerator that 2^e does not divide is not a
 multiple of den; otherwise the quotient is (num / 2^e) * d^-1 modulo a
@@ -62,6 +63,12 @@ class FactorialRatio(NamedTuple):
 # the 2-adic path's shifts, masks and inverse outweigh what Karatsuba
 # saves (crossover measured on the family degree ratios, CPython 3.11).
 EXACT_DIVISION_MIN_BITS = 16384
+# Nor for a quotient under this many bits, at any denominator size: long
+# division is then a few passes over the denominator, fewer than the
+# 2-adic path's shifts, masks and full check product (crossover between
+# 226 and 385 quotient bits on type I ratios with 34,000 to 110,000
+# denominator bits, CPython 3.11).
+EXACT_DIVISION_MIN_QUOTIENT_BITS = 256
 
 
 def _inverse_mod_power_of_2(d: int, bits: int) -> int:
@@ -78,14 +85,15 @@ def _inverse_mod_power_of_2(d: int, bits: int) -> int:
 def exact_quotient(num: int, den: int) -> int | None:
     """num / den for num >= 0 and den > 0, or None when den does not
     divide num."""
-    if den.bit_length() < EXACT_DIVISION_MIN_BITS:
+    den_bits = den.bit_length()
+    k = num.bit_length() - den_bits + 1  # an exact quotient has at most k bits
+    if den_bits < EXACT_DIVISION_MIN_BITS or k < EXACT_DIVISION_MIN_QUOTIENT_BITS:
         quotient, remainder = divmod(num, den)
         return None if remainder else quotient
     e = (den & -den).bit_length() - 1  # den = 2^e * d, d odd
     if num & ((1 << e) - 1):
         return None
-    a, d = num >> e, den >> e
-    k = a.bit_length() - d.bit_length() + 1  # an exact quotient has at most k bits
+    a, d = num >> e, den >> e  # shifting both by e leaves k unchanged
     q = 0
     if k > 0:
         # the low h bits from d^-1 modulo 2^h, then the other k - h

@@ -2,8 +2,8 @@
 
 The type I degree equals the number of standard Young tableaux of the
 k x (s-k) rectangle.  Two counters that share no arithmetic with the
-factorial-ratio evaluators recompute that number: exhaustive
-backtracking (a literal enumeration) and the hook-length formula.
+factorial-ratio evaluators recompute that number: a walk over every
+placement path (a literal enumeration) and the hook-length formula.
 
 The low-rank coincidences of ``spaces.COINCIDENCES`` that carry a
 verdict are probed by evaluating dimension and degree on both sides.
@@ -58,24 +58,30 @@ class RectShape(_RectShapeFields):
 
 
 def count_syt_bruteforce(shape: RectShape) -> int:
-    """Count standard Young tableaux by exhaustive backtracking.
+    """Count standard Young tableaux by exhaustive enumeration.
 
-    Values 1..rows*cols are placed one at a time; a value may extend any
-    row that is still shorter than the row above it, which keeps rows
-    and columns strictly increasing.  Every standard filling is visited
-    exactly once, so the count is a true enumeration, independent of any
-    formula.
+    Values 1..rows*cols are placed one at a time.  The cells filled so
+    far always form a partial shape, the tuple of its row lengths, and
+    a value may extend any row that is still shorter than the row above
+    it, which keeps rows and columns strictly increasing.  A standard
+    filling is therefore one path of placements from the empty shape to
+    the full rectangle, and the count is the number of such paths,
+    independent of any formula.
+
+    The call first builds a move table: a local dict from each partial
+    shape (at most C(rows+cols, rows) of them) to the shapes one
+    placement away.  Only these edges of the lattice are cached.  The
+    walk then follows every path along them, one step per value, and
+    no count is ever stored, within a call or across calls: every
+    tableau is still reached as its own distinct path.
 
     Two shortcuts make it faster and leave it literal.  Reflecting a
     filling in the diagonal maps the tableaux of a shape one to one onto
     those of its transpose, so the orientation with fewer rows is
-    enumerated: the scan over rows at each step is shorter, and no
-    filling is skipped or merged.  And once only two cells are empty,
-    one of them is the corner (rows-1, cols-1) and the other is its left
-    or upper neighbour, which must receive the smaller of the two last
-    values: each such partial filling completes in exactly one way, so
-    the search counts it as one leaf instead of descending two more
-    levels.  Every tableau is still reached as its own distinct leaf.
+    enumerated; no filling is skipped or merged.  And once only one
+    cell is empty, it is the corner (rows-1, cols-1), which the last
+    value fills in exactly one way: the path counts as one tableau
+    without a call for that last placement.
     """
     if shape.cells > BRUTE_FORCE_CELL_LIMIT:
         raise ShapeTooLarge(
@@ -83,23 +89,30 @@ def count_syt_bruteforce(shape: RectShape) -> int:
             f"the enumeration limit is {BRUTE_FORCE_CELL_LIMIT}"
         )
     rows, cols = sorted((shape.rows, shape.cols))
-    fill = [0] * rows
-
-    def place(remaining: int) -> int:
-        if remaining <= 2:
-            return 1  # the last two cells complete in one way
-        total = 0
-        above = cols + 1  # sentinel: the first row has no row above it
-        for i in range(rows):
-            here = fill[i]
-            if here < cols and here < above:
-                fill[i] = here + 1
-                total += place(remaining - 1)
-                fill[i] = here
+    moves: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    pending = [(0,) * rows]
+    while pending:
+        partial = pending.pop()
+        if partial in moves:
+            continue
+        above = cols  # the first row may grow to the full width
+        nexts = []
+        for i, here in enumerate(partial):
+            if here < above:
+                nexts.append(partial[:i] + (here + 1,) + partial[i + 1 :])
             above = here
+        moves[partial] = tuple(nexts)
+        pending.extend(nexts)
+
+    def walk(partial: tuple[int, ...], empty: int) -> int:
+        if empty == 1:
+            return 1  # the last value goes to the corner
+        total = 0
+        for following in moves[partial]:
+            total += walk(following, empty - 1)
         return total
 
-    return place(rows * cols)
+    return walk((0,) * rows, shape.cells)
 
 
 def count_syt_hook(shape: RectShape) -> int:

@@ -1,0 +1,23 @@
+import pytest
+
+from hssatlas.oracle import RectShape, count_syt_bruteforce
+
+
+@pytest.fixture(scope="session")
+def bruteforce_count():
+    """``count_syt_bruteforce`` with each shape enumerated at most once
+    per test session.
+
+    The tests that sweep the enumeration envelope share it, so a
+    rectangle they all cover (4x5 is in every sweep) is enumerated once,
+    not once per test.  Shapes are keyed as given, so each orientation
+    is still enumerated through its own call.
+    """
+    counts: dict[RectShape, int] = {}
+
+    def count(shape: RectShape) -> int:
+        if shape not in counts:
+            counts[shape] = count_syt_bruteforce(shape)
+        return counts[shape]
+
+    return count

@@ -17,7 +17,6 @@ from hssatlas.atlas import RefinementTable, classify, threshold_scan
 from hssatlas.invariants import degree, degree_irreducible, degree_ratio, gamma, multinomial_ratio
 from hssatlas.oracle import (
     RectShape,
-    count_syt_bruteforce,
     count_syt_hook,
     isomorphism_diagnostics,
 )
@@ -158,8 +157,7 @@ def test_criterion_05_two_factor_exceptions():
     )
 
 
-def test_criterion_06_degree_equals_tableau_counts():
-    brute_cache: dict[RectShape, int] = {}
+def test_criterion_06_degree_equals_tableau_counts(bruteforce_count):
     checked_brute = 0
     ok = True
     for atom in _rectangle_sweep():
@@ -168,13 +166,11 @@ def test_criterion_06_degree_equals_tableau_counts():
         shape = RectShape(min(k, s - k), max(k, s - k))
         ok = ok and count_syt_hook(shape) == d
         if shape.cells <= 20:
-            if shape not in brute_cache:
-                brute_cache[shape] = count_syt_bruteforce(shape)
-            ok = ok and brute_cache[shape] == d
+            ok = ok and bruteforce_count(shape) == d
             checked_brute += 1
     spots = {(2, 2): 2, (2, 3): 5, (3, 3): 42, (4, 4): 24024}
     for (rows, cols), count in spots.items():
-        ok = ok and count_syt_bruteforce(RectShape(rows, cols)) == count
+        ok = ok and bruteforce_count(RectShape(rows, cols)) == count
     _criterion(
         6,
         ok,

@@ -1,3 +1,6 @@
+import copy
+import inspect
+import itertools
 import math
 
 import pytest
@@ -27,6 +30,11 @@ SYT_CASES = [
     ((3, 3), 42),
     ((3, 4), 462),
     ((4, 4), 24024),
+    # two and three cells: the walk's shortest paths
+    ((1, 2), 1),
+    ((2, 1), 1),
+    ((1, 3), 1),
+    ((3, 1), 1),
 ]
 
 
@@ -64,7 +72,7 @@ def test_shape_sides_must_be_positive():
         RectShape(2, -1)
 
 
-def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope():
+def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope(bruteforce_count):
     # every shape of at most 20 cells in both orientations, including
     # 5x4, 10x2 and 20x1, whose transposes are the ones enumerated
     shapes = [
@@ -74,7 +82,62 @@ def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope():
     ]
     assert len(shapes) == 66
     for shape in shapes:
-        assert count_syt_bruteforce(shape) == count_syt_hook(shape)
+        assert bruteforce_count(shape) == count_syt_hook(shape)
+
+
+def _standard_fillings(rows, cols):
+    """Every standard filling of a rows x cols rectangle, built row by
+    row from sets of values rather than value by value: each row is an
+    increasing choice of cols unused values, kept when every entry
+    exceeds the one above it."""
+
+    def extend(done, unused):
+        if len(done) == rows:
+            yield tuple(done)
+            return
+        for row in itertools.combinations(sorted(unused), cols):
+            if not done or all(above < here for above, here in zip(done[-1], row)):
+                yield from extend([*done, row], unused - set(row))
+
+    return list(extend([], frozenset(range(1, rows * cols + 1))))
+
+
+def test_an_independent_generator_lists_exactly_the_counted_fillings():
+    shapes = [RectShape(rows, cols) for rows in range(1, 13) for cols in range(1, 12 // rows + 1)]
+    assert len(shapes) == 35
+    for shape in shapes:
+        fillings = _standard_fillings(*shape)
+        for filling in fillings:
+            assert sorted(itertools.chain(*filling)) == list(range(1, shape.cells + 1))
+            assert all(row[j] < row[j + 1] for row in filling for j in range(shape.cols - 1))
+            assert all(filling[i][j] < filling[i + 1][j] for i in range(shape.rows - 1) for j in range(shape.cols))
+        assert len(set(fillings)) == len(fillings)
+        assert len(fillings) == count_syt_bruteforce(shape) == count_syt_hook(shape), shape
+
+
+def _module_state():
+    names = dict(vars(oracle))
+    contents = {
+        name: copy.deepcopy(value)
+        for name, value in names.items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set, bytearray))
+    }
+    enumerate_ = oracle.count_syt_bruteforce
+    return names, contents, dict(vars(enumerate_)), enumerate_.__defaults__, enumerate_.__kwdefaults__
+
+
+def test_enumeration_keeps_no_count_between_calls():
+    """Only the edges of one call's lattice are cached: after a call the
+    module holds the same globals, with the same contents, and the
+    enumerator is a plain function with no attributes or defaults."""
+    names, *rest = _module_state()
+    assert count_syt_bruteforce(RectShape(3, 4)) == 462
+    after_names, *after_rest = _module_state()
+    assert after_names.keys() == names.keys()
+    assert all(after_names[name] is value for name, value in names.items())
+    assert after_rest == rest
+    assert inspect.isfunction(count_syt_bruteforce)
+    assert rest[1:] == [{}, None, None]
 
 
 def _hook_product_cell_by_cell(rows, cols):
@@ -94,11 +157,13 @@ def test_hook_multiplicities_equal_the_cell_by_cell_product():
             assert count_syt_hook(RectShape(rows, cols)) == count
 
 
-def test_check_type_i_degree_with_bruteforce_coverage():
+def test_check_type_i_degree_with_bruteforce_coverage(monkeypatch, bruteforce_count):
+    # k and s-k give the same rectangle: the session's counter enumerates
+    # it once, and every (k, s) still goes through the brute-force branch
+    monkeypatch.setattr(oracle, "count_syt_bruteforce", bruteforce_count)
     for s in range(2, 10):
         for k in range(1, s):
-            # k and s-k give the same rectangle: enumerate it once
-            assert check_type_i_degree(k, s, brute_force=k <= s - k) == "Pass"
+            assert check_type_i_degree(k, s) == "Pass"
 
 
 def test_check_type_i_degree_hook_only_range():
