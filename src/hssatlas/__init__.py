@@ -19,12 +19,12 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in {
-        "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre factorial",
+        "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre",
         "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementTable "
         "Report SBResult ScanResult ScanRow classify report threshold_scan",
         "invariants": "NormalizedVolume degree degree_irreducible degree_ratio gamma gromov_width_units "
         "multinomial_ratio volume_units",
-        "oracle": "BRUTE_FORCE_CELL_LIMIT Diagnostic ISOMORPHISM_PAIRS RectShape ShapeTooLarge "
+        "oracle": "BRUTE_FORCE_CELL_LIMIT Diagnostic RectShape ShapeTooLarge "
         "check_type_i_degree count_syt_bruteforce count_syt_hook isomorphism_diagnostics",
         "spaces": "EmptyProduct InvalidParams IrreducibleSpace SpaceExpr SpaceSyntaxError parse "
         "projective_space type_i type_ii type_iii type_iv",

@@ -36,12 +36,6 @@ class NonIntegralRatio(ArithmeticError):
     """
 
 
-def factorial(m: int) -> int:
-    if m < 0:
-        raise ValueError(f"factorial is undefined for negative {m}")
-    return math.factorial(m)
-
-
 class FactorialRatio(NamedTuple):
     """A product of factorials divided by a product of factorials.
 

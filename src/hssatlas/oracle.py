@@ -7,13 +7,15 @@ placement path (a literal enumeration) and the hook-length formula.
 
 The low-rank coincidences of ``spaces.COINCIDENCES`` that carry a
 verdict are probed by evaluating dimension and degree on both sides.
-The table names the one pair expected to disagree, where the type III
-closed form yields 1 against the quadric's 2.  The diagnostics report
-that defect; nothing in this package patches around it.
+A row's verdict is the one expected of its probe: the table expects
+one pair to disagree, where the type III closed form yields 1 against
+the quadric's 2.  The diagnostics report that defect; nothing in this
+package patches around it.
 
 ``run_checks`` runs the whole suite -- both arithmetic paths over a
 sweep of ratios, the tableau counters against the type I degrees, and
-the isomorphism probes -- and decides which verdicts were expected.
+the isomorphism probes -- and keeps each probe's row verdict next to
+its diagnostic; any other verdict is unexpected.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, NamedTuple
 
 from .arith import eval_ratio_direct, eval_ratio_legendre
 from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
-from .spaces import COINCIDENCES, IrreducibleSpace, type_i, type_ii, type_iii
+from .spaces import COINCIDENCES, type_i, type_ii, type_iii
 
 BRUTE_FORCE_CELL_LIMIT = 20
 
@@ -156,32 +158,23 @@ class Diagnostic(NamedTuple):
     verdict: str  # "Pass" | "Mismatch"
 
 
-# The probed coincidences, in table order, and those expected to disagree.
-ISOMORPHISM_PAIRS: tuple[tuple[IrreducibleSpace, IrreducibleSpace], ...] = tuple(
-    (row.spelling, *row.factors) for row in COINCIDENCES if row.verdict
-)
-EXPECTED_MISMATCHES = frozenset(row.pair for row in COINCIDENCES if row.verdict == "Mismatch")
-
-
 def isomorphism_diagnostics() -> list[Diagnostic]:
-    """Evaluate dimension and degree on both sides of each pair.
+    """Evaluate dimension and degree on both sides of each probed row of
+    ``COINCIDENCES``, a row with a verdict and one right-hand factor.
 
-    Deterministic and order-stable: the result always lists the pairs
-    in the order of ISOMORPHISM_PAIRS.
+    Deterministic and order-stable: the result always lists the probes
+    in table order.
     """
     out = []
-    for left, right in ISOMORPHISM_PAIRS:
+    for row in COINCIDENCES:
+        if row.verdict is None:
+            continue
+        left, (right,) = row.spelling, row.factors
         degree_left, degree_right = degree_irreducible(left), degree_irreducible(right)
         dims_match = left.dimension == right.dimension
         verdict = "Pass" if dims_match and degree_left == degree_right else "Mismatch"
         out.append(Diagnostic(left.render(), right.render(), dims_match, degree_left, degree_right, verdict))
     return out
-
-
-def is_expected(diag: Diagnostic) -> bool:
-    """Whether a probe's verdict is the one expected for its pair."""
-    expected = "Mismatch" if (diag.left, diag.right) in EXPECTED_MISMATCHES else "Pass"
-    return diag.verdict == expected
 
 
 class CheckResult(NamedTuple):
@@ -192,7 +185,12 @@ class CheckResult(NamedTuple):
     syt_checked: int
     syt_failed: int
     diagnostics: tuple[Diagnostic, ...]
-    unexpected: int  # diagnostics whose verdict is not the expected one
+    expected: tuple[str, ...]  # each diagnostic's verdict in its COINCIDENCES row
+
+    @property
+    def unexpected(self) -> int:
+        """How many diagnostics differ from their row's verdict."""
+        return sum(d.verdict != e for d, e in zip(self.diagnostics, self.expected))
 
     @property
     def ok(self) -> bool:
@@ -235,5 +233,5 @@ def _syt_cross_check() -> tuple[int, int]:
 def run_checks() -> CheckResult:
     """Run the arithmetic, tableau and isomorphism cross-checks."""
     ratios, syt = _arith_cross_check(), _syt_cross_check()  # each (checked, failed)
-    diagnostics = tuple(isomorphism_diagnostics())
-    return CheckResult(*ratios, *syt, diagnostics, sum(not is_expected(d) for d in diagnostics))
+    expected = tuple(row.verdict for row in COINCIDENCES if row.verdict is not None)
+    return CheckResult(*ratios, *syt, tuple(isomorphism_diagnostics()), expected)

@@ -9,11 +9,11 @@ are built once and shared by its formats, and every integer is
 written by ``digits``.  A report's renderers convert each distinct
 integer once per call, through a ``cache(digits)`` that dies with the
 call: an exact report prints its degree twice (the degree and the
-volume's units) and Gamma twice (gamma and S_B).  ``json``, ``csv``
-and the oracle module are imported only by the renderers that use
-them, so a process loads them only for the formats and commands it
-runs.  All renderers are
-deterministic: the same value always produces the same bytes.
+volume's units) and Gamma twice (gamma and S_B).  A check result
+carries each probe's expected verdict, so of the oracle module only
+the CSV header's ``Diagnostic`` is imported; it, ``json`` and ``csv``
+load only for the formats and commands a process runs.  All renderers
+are deterministic: the same value always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -317,8 +317,6 @@ def diagnostic_to_obj(diag: Diagnostic) -> dict:
 
 
 def render_check_human(result: CheckResult) -> str:
-    from . import oracle
-
     arith_status = "OK" if not result.ratios_failed else f"{result.ratios_failed} FAILED"
     syt_status = "OK" if not result.syt_failed else f"{result.syt_failed} FAILED"
     lines = [
@@ -326,21 +324,23 @@ def render_check_human(result: CheckResult) -> str:
         f"type I degree vs tableau counts: {result.syt_checked} cases: {syt_status}",
         "isomorphism diagnostics:",
     ]
-    for diag in result.diagnostics:
-        note = ""
-        if diag.verdict == "Mismatch":
-            note = " (expected)" if oracle.is_expected(diag) else " (UNEXPECTED)"
+    for diag, expected in zip(result.diagnostics, result.expected):
+        if diag.verdict != expected:
+            note = " (UNEXPECTED)"
+        else:
+            note = " (expected)" if expected == "Mismatch" else ""
         lines.append(
             f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
             f"degrees {digits(diag.degree_left)} vs {digits(diag.degree_right)}: {diag.verdict}{note}"
         )
     if result.ok:
-        passes = sum(d.verdict == "Pass" for d in result.diagnostics)
-        mismatches = len(result.diagnostics) - passes  # all expected when ok
-        expected = ", ".join(pair_label(*pair) for pair in sorted(oracle.EXPECTED_MISMATCHES))
+        # every verdict is its row's, so these are the expected mismatches
+        mismatches = sorted((d.left, d.right) for d in result.diagnostics if d.verdict == "Mismatch")
+        passes = len(result.diagnostics) - len(mismatches)
+        labels = ", ".join(pair_label(*pair) for pair in mismatches)
         lines.append(
             f"summary: arithmetic {arith_status}, tableaux {syt_status}, "
-            f"{passes} isomorphism passes, {mismatches} expected mismatch ({expected})"
+            f"{passes} isomorphism passes, {len(mismatches)} expected mismatch ({labels})"
         )
     else:
         lines.append("summary: DEVIATION from expected verdicts")

@@ -5,8 +5,9 @@ their parameters look like, their embedding degree and its citation;
 the constructor, the factor order, the parser, the scans, the degree
 and the report read it.  ``COINCIDENCES`` is the one list of spellings
 that name the same manifold: canonical form takes its rewrites from
-it, and ``check`` its probes.  An expression denotes a finite product
-of irreducible compact Hermitian symmetric spaces:
+it, and ``check`` its probes, each expecting its row's verdict (any
+other verdict is marked UNEXPECTED).  An expression denotes a finite
+product of irreducible compact Hermitian symmetric spaces:
 
     expr := term (("x" | "*") term)*
     term := atom ("^" exponent)?
@@ -176,7 +177,8 @@ def projective_space(n: int) -> IrreducibleSpace:
 
 
 class Coincidence(NamedTuple):
-    """One spelling of a manifold that another spelling also names."""
+    """One spelling of a manifold that another spelling also names; a
+    probed row, one with a verdict, has exactly one factor."""
 
     spelling: IrreducibleSpace
     factors: tuple[IrreducibleSpace, ...]  # the same manifold, in canonical factors

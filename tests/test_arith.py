@@ -13,33 +13,14 @@ from hssatlas.arith import (
     eval_ratio_direct,
     eval_ratio_legendre,
     exact_quotient,
-    factorial,
 )
 from hssatlas.invariants import degree_ratio
 from hssatlas.spaces import parse, type_i, type_ii, type_iii
 
 
-def test_factorial_known_values():
-    assert factorial(0) == 1
-    assert factorial(1) == 1
-    assert factorial(5) == 120
-    assert factorial(10) == 3628800
-    assert factorial(15) == 1307674368000
-
-
 def test_factorial_agrees_with_prime_exponent_reconstruction():
     # 15! rebuilt purely from per-prime exponents, no multiplication chain
     assert eval_ratio_legendre(FactorialRatio((15,), ())) == 1307674368000
-
-
-def test_factorial_rejects_negative_input():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_factorial_recurrence():
-    for m in range(31):
-        assert factorial(m + 1) == factorial(m) * (m + 1)
 
 
 KNOWN_RATIOS = [

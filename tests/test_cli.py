@@ -14,7 +14,7 @@ import pytest
 
 from hssatlas import cli, oracle
 from hssatlas.arith import FactorialRatio
-from hssatlas.spaces import FAMILIES, Family, type_ii, type_iv
+from hssatlas.spaces import FAMILIES, Coincidence, Family, type_ii, type_iv
 
 
 @pytest.fixture(autouse=True)
@@ -338,11 +338,12 @@ def test_check_csv_and_latex_are_pinned(capsys, fmt, expected):
 
 
 def test_check_summary_names_the_expected_pairs(capsys, monkeypatch):
-    # another probe list whose one mismatch is declared expected
-    monkeypatch.setattr(
-        oracle, "ISOMORPHISM_PAIRS", ((type_ii(4), type_iv(6)), (type_ii(3), type_iv(4)))
+    # another table of probes whose one mismatch its row expects
+    rows = (
+        Coincidence(type_ii(4), (type_iv(6),), False, "Pass"),
+        Coincidence(type_ii(3), (type_iv(4),), False, "Mismatch"),
     )
-    monkeypatch.setattr(oracle, "EXPECTED_MISMATCHES", frozenset({("II(3)", "IV(4)")}))
+    monkeypatch.setattr(oracle, "COINCIDENCES", rows)
     code, out, _ = run(capsys, "check")
     assert code == 0
     assert out.rstrip("\n").splitlines()[-1] == (
@@ -351,9 +352,22 @@ def test_check_summary_names_the_expected_pairs(capsys, monkeypatch):
     )
 
 
+def _expect(monkeypatch, spelling, verdict):
+    # check reads its probes from oracle.COINCIDENCES; replace one row's verdict there
+    rows = tuple(
+        row._replace(verdict=verdict) if row.pair[0] == spelling else row for row in oracle.COINCIDENCES
+    )
+    monkeypatch.setattr(oracle, "COINCIDENCES", rows)
+
+
 def _no_expected_mismatch(monkeypatch):
     # the III(2)/IV(3) mismatch becomes a deviation
-    monkeypatch.setattr(oracle, "EXPECTED_MISMATCHES", frozenset())
+    _expect(monkeypatch, "III(2)", "Pass")
+
+
+def _pass_where_mismatch_expected(monkeypatch):
+    # the II(2)/I(1,2) pass becomes a deviation
+    _expect(monkeypatch, "II(2)", "Mismatch")
 
 
 def _hook_count_off_by_one(monkeypatch):
@@ -369,9 +383,13 @@ def _hook_count_off_by_one(monkeypatch):
             _no_expected_mismatch,
             "  III(2) vs IV(3): dims match: yes, degrees 1 vs 2: Mismatch (UNEXPECTED)",
         ),
+        (
+            _pass_where_mismatch_expected,
+            "  II(2) vs I(1,2): dims match: yes, degrees 1 vs 1: Pass (UNEXPECTED)",
+        ),
         (_hook_count_off_by_one, "type I degree vs tableau counts: 49 cases: 49 FAILED"),
     ],
-    ids=["isomorphism", "tableau"],
+    ids=["isomorphism", "unexpected-pass", "tableau"],
 )
 def test_check_flags_deviation_with_exit_4(capsys, monkeypatch, deviate, human_line, fmt):
     deviate(monkeypatch)

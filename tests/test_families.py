@@ -125,17 +125,24 @@ def test_construction_rewrites_exactly_the_rewritten_rows(row):
 
 
 def test_oracle_constants_are_the_probed_rows():
+    # the oracle reads the table itself: its probes, in order, are the
+    # rows with a verdict, and each verdict is the one check expects
+    assert oracle.COINCIDENCES is COINCIDENCES
     probed = [row for row in COINCIDENCES if row.verdict is not None]
-    assert oracle.ISOMORPHISM_PAIRS == tuple((row.spelling, *row.factors) for row in probed)
-    assert [(left.render(), right.render()) for left, right in oracle.ISOMORPHISM_PAIRS] == [
+    diagnostics = oracle.isomorphism_diagnostics()
+    assert [(d.left, d.right) for d in diagnostics] == [row.pair for row in probed] == [
         (spelling, factors) for spelling, factors, _, verdict in EXPECTED_COINCIDENCES if verdict
     ]
-    assert all(type(pair) is tuple and len(pair) == 2 for pair in oracle.ISOMORPHISM_PAIRS)
-    assert oracle.EXPECTED_MISMATCHES == frozenset(
-        row.pair for row in probed if row.verdict == "Mismatch"
-    ) == frozenset({("III(2)", "IV(3)")})
-    verdicts = [d.verdict for d in oracle.isomorphism_diagnostics()]
+    assert {row.pair for row in probed if row.verdict == "Mismatch"} == {("III(2)", "IV(3)")}
+    verdicts = [d.verdict for d in diagnostics]
     assert verdicts == [row.verdict for row in probed]
+    assert oracle.run_checks().expected == tuple(verdicts)
+
+
+def test_every_probed_row_has_one_right_hand_factor():
+    # isomorphism_diagnostics compares the spelling with a single factor
+    probed = [row for row in COINCIDENCES if row.verdict is not None]
+    assert probed and all(len(row.factors) == 1 for row in probed)
 
 
 def test_the_warning_and_check_name_the_mismatch_row_by_one_label(capsys):

@@ -8,7 +8,6 @@ import pytest
 from hssatlas import oracle
 from hssatlas.oracle import (
     BRUTE_FORCE_CELL_LIMIT,
-    ISOMORPHISM_PAIRS,
     Diagnostic,
     RectShape,
     ShapeTooLarge,
@@ -18,6 +17,7 @@ from hssatlas.oracle import (
     isomorphism_diagnostics,
     run_checks,
 )
+from hssatlas.spaces import COINCIDENCES
 
 
 # Counts frozen from the exhaustive enumeration itself.
@@ -215,7 +215,8 @@ def test_diagnostics_are_deterministic_and_order_stable():
     first = isomorphism_diagnostics()
     second = isomorphism_diagnostics()
     assert first == second
-    assert [d.left for d in first] == [left.render() for left, _ in ISOMORPHISM_PAIRS]
+    probed = [row for row in COINCIDENCES if row.verdict is not None]
+    assert [(d.left, d.right) for d in first] == [row.pair for row in probed]
 
 
 def test_exactly_one_mismatch_and_it_is_the_known_one():
@@ -233,6 +234,7 @@ def test_run_checks_counts_and_expected_verdicts():
     assert (result.syt_checked, result.syt_failed) == (49, 0)
     assert result.diagnostics == tuple(isomorphism_diagnostics())
     assert len(result.diagnostics) == 6
+    assert result.expected == ("Pass",) * 4 + ("Mismatch", "Pass")
     assert result.unexpected == 0
     assert result.ok
 
