@@ -2,9 +2,9 @@
 
 Parse a product of the four classical families (or projective-space
 sugar), then compute -- all in exact integer arithmetic -- the degree of
-its canonical projective embedding, its normalized symplectic volume,
-its Gamma invariant, and the resulting classification of the minimal
-number of Darboux charts S_B.
+its canonical projective embedding (also its symplectic volume, in
+units of pi^n/n!), its Gamma invariant, and the resulting
+classification of the minimal number of Darboux charts S_B.
 
 Importing the package loads none of its modules: each public name is
 imported from its home module on first use (PEP 562), so a process pays
@@ -22,8 +22,7 @@ _HOME = {
         "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre",
         "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementTable "
         "Report SBResult ScanResult ScanRow classify report threshold_scan",
-        "invariants": "NormalizedVolume degree degree_irreducible degree_ratio gamma gromov_width_units "
-        "multinomial_ratio volume_units",
+        "invariants": "degree degree_irreducible degree_ratio gamma gromov_width_units multinomial_ratio",
         "oracle": "BRUTE_FORCE_CELL_LIMIT Diagnostic RectShape ShapeTooLarge "
         "check_type_i_degree count_syt_bruteforce count_syt_hook isomorphism_diagnostics",
         "spaces": "EmptyProduct InvalidParams IrreducibleSpace SpaceExpr SpaceSyntaxError parse "

@@ -18,7 +18,7 @@ import os
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .invariants import NormalizedVolume, degree, gamma, gromov_width_units, volume_units
+from .invariants import degree, gamma, gromov_width_units
 from .spaces import (
     COINCIDENCES, FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, pair_label, parse, read_int,
 )
@@ -134,7 +134,8 @@ class RefinementTable(_RefinementTableFields):
 
         Explicit entries are validated at load time: the key must parse
         and the values must sit inside the bounds the theorem gives for
-        that space.
+        that space.  Every error is a ``ValueError`` that names the
+        source and the line.
         """
         entries: list[Refinement] = []
         for lineno, raw in enumerate(lines, start=1):
@@ -159,7 +160,10 @@ class RefinementTable(_RefinementTableFields):
                     )
                 entries.append(Refinement(pattern, None, citation))
                 continue
-            space = parse(pattern)
+            try:
+                space = parse(pattern)
+            except ValueError as exc:
+                raise ValueError(f"{source}:{lineno}: key {pattern!r}: {exc}") from None
             bare = classify(space)
             lower, upper = (bare.value, bare.value) if bare.kind == "Exact" else (bare.lower, bare.upper)
             if not (lower <= values[0] and values[-1] <= upper):
@@ -219,7 +223,6 @@ class Report(NamedTuple):
     rank: int
     degree: int
     gamma: int
-    volume: NormalizedVolume
     gromov_width_units: int
     sb: SBResult
     warnings: tuple[str, ...]
@@ -283,7 +286,6 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
         rank=space.rank,
         degree=degree(space),
         gamma=gamma(space),
-        volume=volume_units(space),
         gromov_width_units=gromov_width_units(space),
         sb=sb,
         warnings=_warnings_for(space),

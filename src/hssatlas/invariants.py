@@ -1,4 +1,4 @@
-"""Embedding degree, normalized volume, Gromov width and Gamma.
+"""Embedding degree, Gromov width and Gamma.
 
 Each irreducible factor has a canonical full projective embedding whose
 degree admits a closed form as a ratio of factorials, read off from
@@ -9,8 +9,10 @@ Kaehler form to pi:
     Vol(M) = degree * pi^n / n!        (degree-volume identity)
     Gromov width = pi                  (one symbolic unit)
 
-so Gamma = floor(Vol * n! / width^n) + 1 collapses to the exact integer
-degree + 1 -- no floating point is involved anywhere.
+so in units of pi^n/n! the volume is the degree itself, and Gamma =
+floor(Vol * n! / width^n) + 1 collapses to the exact integer degree + 1
+-- no floating point is involved anywhere.  So no volume is stored: a
+report prints it from its degree and n.
 
 Each family's degree is a column of ``spaces.FAMILIES``.
 """
@@ -18,7 +20,7 @@ Each family's degree is a column of ``spaces.FAMILIES``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
 from .spaces import FAMILIES, IrreducibleSpace, SpaceExpr
@@ -53,21 +55,6 @@ def degree(space: SpaceExpr) -> int:
     if len(space.factors) > 1:
         result *= eval_ratio_direct(multinomial_ratio([f.dimension for f in space.factors]))
     return result
-
-
-class NormalizedVolume(NamedTuple):
-    """Symplectic volume in units of pi^n/n!: Vol = units * pi^n / n!.
-
-    ``units`` always equals the embedding degree; CP^n itself has one
-    unit.
-    """
-
-    units: int
-    dim: int
-
-
-def volume_units(space: SpaceExpr) -> NormalizedVolume:
-    return NormalizedVolume(units=degree(space), dim=space.dimension)
 
 
 def gromov_width_units(space: SpaceExpr) -> int:

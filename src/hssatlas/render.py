@@ -6,14 +6,16 @@ consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
 comes from one writer (``_csv``) and every LaTeX table, with its
 footnotes, from one frame (``_tabular``); the cells of a result kind
 are built once and shared by its formats, and every integer is
-written by ``digits``.  A report's renderers convert each distinct
-integer once per call, through a ``cache(digits)`` that dies with the
-call: an exact report prints its degree twice (the degree and the
-volume's units) and Gamma twice (gamma and S_B).  A check result
-carries each probe's expected verdict, so of the oracle module only
-the CSV header's ``Diagnostic`` is imported; it, ``json`` and ``csv``
-load only for the formats and commands a process runs.  All renderers
-are deterministic: the same value always produces the same bytes.
+written by ``digits``.  A report's volume, in units of pi^n/n!, is its
+degree, so it is printed from ``degree`` and ``n``.  A report's
+renderers convert each distinct integer once per call, through a
+``cache(digits)`` that dies with the call: an exact report prints its
+degree twice (as the degree and as the volume) and Gamma twice (gamma
+and S_B).  A check result carries each probe's expected verdict, so of
+the oracle module only the CSV header's ``Diagnostic`` is imported; it,
+``json`` and ``csv`` load only for the formats and commands a process
+runs.  All renderers are deterministic: the same value always produces
+the same bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .atlas import Report, SBResult, ScanResult
-from .invariants import NormalizedVolume
 from .spaces import pair_label
 
 if TYPE_CHECKING:
@@ -146,12 +147,6 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
-def volume_human(volume: NormalizedVolume, text: Callable[[int], str] = digits) -> str:
-    """'2·π^4/4!': the volume in units of pi^n/n!."""
-    dim = text(volume.dim)
-    return f"{text(volume.units)}·π^{dim}/{dim}!"
-
-
 def report_to_obj(report: Report) -> dict:
     text = cache(digits)
     return {
@@ -160,7 +155,7 @@ def report_to_obj(report: Report) -> dict:
         "rank": text(report.rank),
         "degree": text(report.degree),
         "gamma": text(report.gamma),
-        "volume": {"units": text(report.volume.units), "dim": text(report.volume.dim)},
+        "volume": {"units": text(report.degree), "dim": text(report.n)},
         "gromov_width_units": text(report.gromov_width_units),
         "sb": sb_to_obj(report.sb, text),
         "case": report.case,
@@ -176,13 +171,14 @@ def render_report_json(report: Report) -> str:
 def render_report_human(report: Report) -> str:
     sb = report.sb
     text = cache(digits)
+    n = text(report.n)
     fields = [
         ("space", report.space),
-        ("complex dim", f"n = {text(report.n)}   (2n = {text(report.two_n)})"),
+        ("complex dim", f"n = {n}   (2n = {text(report.two_n)})"),
         ("rank", text(report.rank)),
         ("degree", text(report.degree)),
         ("gamma", text(report.gamma)),
-        ("volume", volume_human(report.volume, text)),
+        ("volume", f"{text(report.degree)}·π^{n}/{n}!"),
         ("Gromov width", f"{text(report.gromov_width_units)}·π"),
         ("clause", report.case),
     ]
@@ -204,7 +200,7 @@ def render_report_csv(report: Report) -> str:
         "rank": report.rank,
         "degree": report.degree,
         "gamma": report.gamma,
-        "volume_units": report.volume.units,
+        "volume_units": report.degree,
         "gromov_width_units": report.gromov_width_units,
         "sb_kind": sb.kind,
         "sb_value": sb.value,
@@ -227,14 +223,14 @@ def render_report_latex(report: Report) -> str:
     else:
         refined = latex_escape(_braced(sb.refinement.values))
         sb_tex = f"$S_B \\in {refined} \\subset [{text(sb.lower)}, {text(sb.upper)}]$"
-    units, dim = text(report.volume.units), text(report.volume.dim)
+    degree, n = text(report.degree), text(report.n)
     rows = [
         ("space", latex_escape(report.space)),
-        ("$n$", text(report.n)),
+        ("$n$", n),
         ("rank", text(report.rank)),
-        ("degree", text(report.degree)),
+        ("degree", degree),
         ("$\\Gamma$", text(report.gamma)),
-        ("volume", f"${units}\\,\\pi^{{{dim}}}/{dim}!$"),
+        ("volume", f"${degree}\\,\\pi^{{{n}}}/{n}!$"),
         ("Gromov width", "$\\pi$"),
         ("clause", latex_escape(report.case)),
         ("$S_B$", sb_tex),

@@ -17,8 +17,9 @@ A kind, a key of ``FAMILIES``, takes as many integers as its arity:
 ``I(k, s)``, ``II(s)``, ``III(s)``, ``IV(s)``.  Whitespace is
 insignificant and integers are ASCII digits.  ``CP(n)``
 is sugar for ``I(1, n+1)`` and an exponent repeats a factor.  A whole
-expression may expand to at most 64 factors and nest parentheses at
-most 64 deep, so a typo can neither allocate an absurd product nor
+expression may expand to at most 64 factors as written (before the
+rewrites: ``IV(2)^64`` has 128 canonical factors) and nest parentheses
+at most 64 deep, so a typo can neither allocate an absurd product nor
 exhaust the stack; both limits are checked before anything is expanded.
 Every ``SpaceExpr`` is in canonical form, because construction rewrites
 it; its rendering is the key format used by every report, table and

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from hssatlas import atlas, render
+from hssatlas import atlas, invariants, render
 from hssatlas.atlas import (
     CLAUSE_EXACT,
     CLAUSE_RANGE,
@@ -87,12 +87,30 @@ def test_report_exact_case(table):
     assert rep.space == "II(6)"
     assert (rep.n, rep.two_n, rep.rank) == (15, 30, 3)
     assert (rep.degree, rep.gamma) == (286, 287)
-    assert rep.volume.units == 286 and rep.volume.dim == 15
+    assert "volume" not in rep._fields  # in units of pi^n/n!, the volume is the degree
     assert rep.gromov_width_units == 1
     assert rep.sb == SBResult.exact(287)
     assert rep.case == CLAUSE_EXACT
     assert rep.warnings == ()
     assert any("clause (i)" in c for c in rep.citations)
+
+
+@pytest.mark.parametrize("expr", ["II(6)", "I(2,5)", "CP(3)", "IV(7)"])
+def test_report_evaluates_the_degree_at_most_three_times(monkeypatch, table, expr):
+    """S_B, the degree and Gamma each evaluate it; the volume is printed
+    from the stored degree and costs no evaluation of its own."""
+    space = parse(expr)
+    calls = []
+    evaluate = invariants.degree_irreducible
+
+    def counting(factor):
+        calls.append(factor)
+        return evaluate(factor)
+
+    monkeypatch.setattr(invariants, "degree_irreducible", counting)
+    rep = report(space, table)
+    assert rep.degree == evaluate(space.factors[0])
+    assert len(calls) <= 3
 
 
 def test_report_is_immutable(table):

@@ -212,6 +212,24 @@ def test_non_ascii_refinement_value_is_rejected_with_its_line(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "key, reason",
+    [
+        ("I(1,*)", "expected an integer (at position 4)"),
+        ("I(0,2)", "type I requires 1 <= k <= s-1 and s >= 2, got k=0, s=2"),
+        ("", "empty expression"),
+    ],
+)
+def test_refinement_key_that_does_not_parse_is_rejected_with_its_line(capsys, tmp_path, key, reason):
+    path = tmp_path / "keys.txt"
+    path.write_text(f"# header\n{key} | {{3}} | c; .\n", encoding="utf-8")
+    assert run(capsys, "compute", "CP(2)", "--refinements", str(path)) == (
+        2,
+        "",
+        f"error: {path}:2: key {key!r}: {reason}\n",
+    )
+
+
 def test_refinement_value_too_long_to_convert_is_rejected_with_its_line(capsys, tmp_path):
     path = tmp_path / "long.txt"
     path.write_text("I(2,5) | {" + "9" * 5000 + "} | y\n", encoding="utf-8")

@@ -13,9 +13,9 @@ from hssatlas.invariants import (
     gamma,
     gromov_width_units,
     multinomial_ratio,
-    volume_units,
 )
-from hssatlas.render import volume_human
+from hssatlas.atlas import report
+from hssatlas.render import render_report_human
 from hssatlas.spaces import InvalidParams, SpaceExpr, parse, type_i, type_ii, type_iii, type_iv
 
 from test_spaces import space_exprs
@@ -121,19 +121,14 @@ def test_gamma_is_degree_plus_one(expr):
 
 
 @given(expr=space_exprs)
-def test_volume_units_equal_degree(expr):
-    volume = volume_units(expr)
-    assert volume.units == degree(expr)
-    assert volume.dim == expr.dimension
-
-
-@given(expr=space_exprs)
 def test_gromov_width_is_one_unit_of_pi(expr):
     assert gromov_width_units(expr) == 1
 
 
 def test_volume_render():
-    assert volume_human(volume_units(parse("I(2,4)"))) == "2·π^4/4!"
+    # in units of pi^n/n! the volume is the degree: I(2,4) has degree 2, n = 4
+    lines = render_report_human(report(parse("I(2,4)"))).splitlines()
+    assert f"{'volume:':<16}2·π^4/4!" in lines
 
 
 def test_degree_integrality_and_cross_path_over_mini_sweep():
