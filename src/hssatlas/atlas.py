@@ -18,7 +18,7 @@ import os
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .invariants import degree, gamma, gromov_width_units
+from .invariants import degree, gamma_from_degree, gromov_width_units
 from .spaces import (
     COINCIDENCES, FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, pair_label, parse, read_int,
 )
@@ -272,8 +272,13 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
 
 
 def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
-    """Full invariant report for one (product) space."""
+    """Full invariant report for one (product) space.
+
+    The degree is evaluated twice: once inside ``classify`` and once
+    here, where Gamma is derived from it and from the Gromov width."""
+    # a second degree evaluation, kept for the traced classify layer until ROADMAP item 1 lands
     sb = classify(space, table)
+    d, n, width = degree(space), space.dimension, gromov_width_units(space)
     # factors are in canonical order, so the kinds come in FAMILIES order
     citations = [FAMILIES[kind].citation for kind in dict.fromkeys(f.kind for f in space.factors)]
     if len(space.factors) > 1:
@@ -282,11 +287,11 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     citations.append(_CLAUSE_CITATIONS[sb.clause])
     return Report(
         space=space.render(),
-        n=space.dimension,
+        n=n,
         rank=space.rank,
-        degree=degree(space),
-        gamma=gamma(space),
-        gromov_width_units=gromov_width_units(space),
+        degree=d,
+        gamma=gamma_from_degree(d, n, width),
+        gromov_width_units=width,
         sb=sb,
         warnings=_warnings_for(space),
         citations=tuple(citations),

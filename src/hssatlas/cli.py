@@ -2,12 +2,14 @@
 
 Exit codes: 0 success, 2 parse/validation error, 3 internal
 non-integral ratio (always a formula transcription bug), 4 cross-check
-deviation from the expected verdicts.
+deviation from the expected verdicts.  A reader that closes stdout
+early changes none of these, and nothing is printed on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -96,7 +98,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .oracle import run_checks  # only this command loads the oracles
 
             kind, result = "check", run_checks()
-        print(getattr(render, f"render_{kind}_{args.format}")(result))
+        text = getattr(render, f"render_{kind}_{args.format}")(result)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early; point stdout at the null device so
+            # that the flush at interpreter exit does not raise again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except (SpaceSyntaxError, InvalidParams, EmptyProduct) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -10,9 +10,13 @@ Kaehler form to pi:
     Gromov width = pi                  (one symbolic unit)
 
 so in units of pi^n/n! the volume is the degree itself, and Gamma =
-floor(Vol * n! / width^n) + 1 collapses to the exact integer degree + 1
--- no floating point is involved anywhere.  So no volume is stored: a
-report prints it from its degree and n.
+floor(Vol * n! / width^n) + 1 is floor(degree / w^n) + 1 for a width of
+w units of pi.  ``gamma_from_degree`` computes it from a given degree
+and width; with w = 1 it is the exact integer degree + 1 -- no floating
+point is involved anywhere.  So no volume is stored: a report prints it
+from its degree and n, and gets Gamma from that same degree.  A report
+evaluates the degree twice: once for itself and once inside
+``atlas.classify``.
 
 Each family's degree is a column of ``spaces.FAMILIES``.
 """
@@ -67,11 +71,18 @@ def gromov_width_units(space: SpaceExpr) -> int:
     return 1
 
 
+def gamma_from_degree(d: int, n: int, width_units: int) -> int:
+    """floor(Vol * n! / width^n) + 1 from the degree d = Vol * n! / pi^n
+    of a space of complex dimension n and its Gromov width in units of
+    pi: floor(d / width_units^n) + 1, in exact integers."""
+    return d // width_units**n + 1
+
+
 def gamma(space: SpaceExpr) -> int:
     """floor(Vol * n! / width^n) + 1, evaluated exactly.
 
     Vol * n! / pi^n is the integer ``degree`` and the width is one unit
-    of pi, so the floor argument is already an integer and Gamma is
-    degree + 1.
+    of pi, so Gamma is degree + 1.  A caller that already holds the
+    degree uses ``gamma_from_degree`` instead.
     """
-    return degree(space) + 1
+    return gamma_from_degree(degree(space), space.dimension, gromov_width_units(space))

@@ -16,7 +16,7 @@ from hssatlas.atlas import (
     report,
     threshold_scan,
 )
-from hssatlas.invariants import degree
+from hssatlas.invariants import degree, gamma
 from hssatlas.spaces import InvalidParams, IrreducibleSpace, SpaceExpr, parse, type_i
 
 
@@ -96,9 +96,10 @@ def test_report_exact_case(table):
 
 
 @pytest.mark.parametrize("expr", ["II(6)", "I(2,5)", "CP(3)", "IV(7)"])
-def test_report_evaluates_the_degree_at_most_three_times(monkeypatch, table, expr):
-    """S_B, the degree and Gamma each evaluate it; the volume is printed
-    from the stored degree and costs no evaluation of its own."""
+def test_report_evaluates_the_degree_at_most_twice(monkeypatch, table, expr):
+    """S_B and the degree each evaluate it; Gamma is derived from the
+    stored degree and the volume is printed from it, so neither costs an
+    evaluation of its own."""
     space = parse(expr)
     calls = []
     evaluate = invariants.degree_irreducible
@@ -110,7 +111,37 @@ def test_report_evaluates_the_degree_at_most_three_times(monkeypatch, table, exp
     monkeypatch.setattr(invariants, "degree_irreducible", counting)
     rep = report(space, table)
     assert rep.degree == evaluate(space.factors[0])
-    assert len(calls) <= 3
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("expr", ["II(6)", "I(5,10)", "CP(1) x CP(2)", "IV(7)"])
+def test_report_takes_gamma_from_the_width_as_a_value(monkeypatch, table, expr):
+    # Gamma = floor(degree / w^n) + 1 for a width of w units of pi; a
+    # width of 2 shows that the value enters, not a constant 1
+    space = parse(expr)
+    d, n = degree(space), space.dimension
+    monkeypatch.setattr(atlas, "gromov_width_units", lambda space: 2)
+    rep = report(space, table)
+    assert rep.gromov_width_units == 2
+    assert rep.gamma == d // 2**n + 1
+    assert rep.degree == d
+
+
+_GAMMA_SWEEP = [
+    *(f"I({k},{s})" for s in range(2, 12) for k in range(1, s)),
+    *(f"II({s})" for s in range(2, 14)),
+    *(f"III({s})" for s in range(1, 12)),
+    *(f"IV({s})" for s in range(1, 14)),
+    "CP(1) x CP(2)",
+    "I(2,5) x II(6)",
+    "III(3) x IV(4) x CP(1)",
+]
+
+
+def test_report_gamma_agrees_with_gamma_and_degree_plus_one(table):
+    for expr in _GAMMA_SWEEP:
+        space = parse(expr)
+        assert report(space, table).gamma == gamma(space) == degree(space) + 1, expr
 
 
 def test_report_is_immutable(table):

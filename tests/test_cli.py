@@ -419,6 +419,41 @@ def test_check_flags_deviation_with_exit_4(capsys, monkeypatch, deviate, human_l
         assert lines[-1] == "summary: DEVIATION from expected verdicts"
 
 
+def _pipe_without_reader() -> int:
+    """The write end of a pipe whose read end is already closed, so the
+    first write to it fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+@pytest.mark.parametrize(
+    "argv", [("compute", "IV(2)^64"), ("check", "--format", "json")], ids=lambda argv: argv[0]
+)
+def test_a_reader_that_closes_at_once_is_not_an_error(argv):
+    stdout = _pipe_without_reader()
+    src = Path(cli.__file__).resolve().parent.parent
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hssatlas", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_a_closed_stdout_keeps_the_deviation_exit_4(capsys, monkeypatch):
+    _no_expected_mismatch(monkeypatch)
+    with open(_pipe_without_reader(), "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["check"])
+    assert (code, capsys.readouterr().err) == (4, "")
+
+
 # --- every command in every format ------------------------------------------
 
 
