@@ -22,7 +22,7 @@ _HOME = {
         "arith": "FactorialRatio NonIntegralRatio eval_ratio_direct eval_ratio_legendre",
         "atlas": "CLAUSE_EXACT CLAUSE_RANGE MAX_SCAN_ROWS Refinement RefinementTable "
         "Report SBResult ScanResult ScanRow classify report threshold_scan",
-        "invariants": "degree degree_irreducible degree_ratio gamma gromov_width_units multinomial_ratio",
+        "invariants": "degree degree_ratio gamma gromov_width_units multinomial_ratio",
         "oracle": "BRUTE_FORCE_CELL_LIMIT Diagnostic RectShape ShapeTooLarge "
         "check_type_i_degree count_syt_bruteforce count_syt_hook isomorphism_diagnostics",
         "spaces": "EmptyProduct InvalidParams IrreducibleSpace SpaceExpr SpaceSyntaxError parse "

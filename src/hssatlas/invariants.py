@@ -18,7 +18,9 @@ from its degree and n, and gets Gamma from that same degree.  A report
 evaluates the degree twice: once for itself and once inside
 ``atlas.classify``.
 
-Each family's degree is a column of ``spaces.FAMILIES``.
+Each family's degree is a ``FactorialRatio`` column of
+``spaces.FAMILIES`` (2! for a quadric); a product multiplies the factor
+degrees and the multinomial, each ratio with its own exact division.
 """
 
 from __future__ import annotations
@@ -30,17 +32,11 @@ from .arith import FactorialRatio, eval_ratio_direct
 from .spaces import FAMILIES, IrreducibleSpace, SpaceExpr
 
 
-def degree_ratio(space: IrreducibleSpace) -> FactorialRatio | None:
-    """Factorial-ratio form of the irreducible embedding degree, or None
-    for a family whose degree has none (type IV).  A spelling that
-    ``SpaceExpr`` rewrites (``spaces.COINCIDENCES``) may raise ``InvalidParams``."""
-    value = FAMILIES[space.kind].degree(*space.params)
-    return None if isinstance(value, int) else value
-
-
-def degree_irreducible(space: IrreducibleSpace) -> int:
-    value = FAMILIES[space.kind].degree(*space.params)
-    return value if isinstance(value, int) else eval_ratio_direct(value)
+def degree_ratio(space: IrreducibleSpace) -> FactorialRatio:
+    """Factorial-ratio form of the irreducible embedding degree.  A
+    spelling that ``SpaceExpr`` rewrites (``spaces.COINCIDENCES``) may
+    raise ``InvalidParams``."""
+    return FAMILIES[space.kind].degree(*space.params)
 
 
 def multinomial_ratio(dims: Sequence[int]) -> FactorialRatio:
@@ -51,14 +47,14 @@ def multinomial_ratio(dims: Sequence[int]) -> FactorialRatio:
 def degree(space: SpaceExpr) -> int:
     """Degree of the canonical projective embedding of the product.
 
-    For a single factor this is the irreducible degree; for a product
-    it is multinomial(n_1, ..., n_m) times the factor degrees, which is
-    the Segre-composition of the factor embeddings.
+    For a single factor this is its ratio's value; for a product it is
+    multinomial(n_1, ..., n_m) times the factor degrees, which is the
+    Segre-composition of the factor embeddings.
     """
-    result = math.prod(degree_irreducible(f) for f in space.factors)
-    if len(space.factors) > 1:
-        result *= eval_ratio_direct(multinomial_ratio([f.dimension for f in space.factors]))
-    return result
+    ratios = [degree_ratio(f) for f in space.factors]
+    if len(ratios) > 1:
+        ratios.append(multinomial_ratio([f.dimension for f in space.factors]))
+    return math.prod(eval_ratio_direct(r) for r in ratios)
 
 
 def gromov_width_units(space: SpaceExpr) -> int:

@@ -24,7 +24,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .arith import eval_ratio_direct, eval_ratio_legendre
-from .invariants import degree_irreducible, degree_ratio, multinomial_ratio
+from .invariants import degree_ratio, multinomial_ratio
 from .spaces import COINCIDENCES, type_i, type_ii, type_iii
 
 BRUTE_FORCE_CELL_LIMIT = 20
@@ -140,7 +140,7 @@ def check_type_i_degree(k: int, s: int, brute_force: bool = True) -> str:
     ``brute_force`` is true and the min(k,s-k) x max(k,s-k) rectangle has
     at most 20 cells.  Returns "Pass" or "Mismatch".
     """
-    d = degree_irreducible(type_i(k, s))
+    d = eval_ratio_direct(degree_ratio(type_i(k, s)))
     shape = RectShape(min(k, s - k), max(k, s - k))
     if count_syt_hook(shape) != d:
         return "Mismatch"
@@ -159,18 +159,16 @@ class Diagnostic(NamedTuple):
 
 
 def isomorphism_diagnostics() -> list[Diagnostic]:
-    """Evaluate dimension and degree on both sides of each probed row of
-    ``COINCIDENCES``, a row with a verdict and one right-hand factor.
-
-    Deterministic and order-stable: the result always lists the probes
-    in table order.
+    """Evaluate dimension and each written spelling's own degree ratio on
+    both sides of each probed row of ``COINCIDENCES`` (one with a verdict
+    and one right-hand factor); deterministic, always in table order.
     """
     out = []
     for row in COINCIDENCES:
         if row.verdict is None:
             continue
         left, (right,) = row.spelling, row.factors
-        degree_left, degree_right = degree_irreducible(left), degree_irreducible(right)
+        degree_left, degree_right = (eval_ratio_direct(degree_ratio(f)) for f in (left, right))
         dims_match = left.dimension == right.dimension
         verdict = "Pass" if dims_match and degree_left == degree_right else "Mismatch"
         out.append(Diagnostic(left.render(), right.render(), dims_match, degree_left, degree_right, verdict))

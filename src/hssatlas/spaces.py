@@ -60,7 +60,7 @@ class Family(NamedTuple):
     least: int  # the least s
     dimension: Callable[..., int]
     rank: Callable[..., int]
-    degree: Callable[..., FactorialRatio | int]  # an int where no ratio form exists
+    degree: Callable[..., FactorialRatio]  # Hua's factorial ratio, 2! for the quadric
     citation: str  # the result a report cites for the degree
 
 
@@ -81,13 +81,16 @@ def _degree_iii(s: int) -> FactorialRatio:
     return FactorialRatio((s * (s + 1) // 2,) + evens, tuple(range(s, 2 * s)))
 
 
-def _degree_iv(s: int) -> int:
+_QUADRIC = FactorialRatio((2,), ())  # 2! = 2 for every IV(s), s >= 3
+
+
+def _degree_iv(s: int) -> FactorialRatio:
     if s <= 2:
         raise InvalidParams(
             f"degree of IV({s}) requires canonical form "
             "(SpaceExpr construction rewrites IV(1) and IV(2) into type I)"
         )
-    return 2
+    return _QUADRIC
 
 
 # The families in canonical factor order; IV(1) and IV(2) have ranks 1 and 2.

@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement
 from hssatlas import cli
 from hssatlas.arith import FactorialRatio, eval_ratio_direct, eval_ratio_legendre
 from hssatlas.atlas import RefinementTable, classify, threshold_scan
-from hssatlas.invariants import degree, degree_irreducible, degree_ratio, gamma, multinomial_ratio
+from hssatlas.invariants import degree, degree_ratio, gamma, multinomial_ratio
 from hssatlas.oracle import (
     RectShape,
     count_syt_hook,
@@ -137,7 +137,7 @@ def test_criterion_05_two_factor_exceptions():
     for product in products:
         a, b = product.factors
         n1, n2 = a.dimension, b.dimension
-        d1, d2 = degree_irreducible(a), degree_irreducible(b)
+        d1, d2 = eval_ratio_direct(degree_ratio(a)), eval_ratio_direct(degree_ratio(b))
         d = degree(product)
         ok = ok and d == d1 * d2 * math.comb(n1 + n2, n1)
         sb = classify(product)
@@ -162,7 +162,7 @@ def test_criterion_06_degree_equals_tableau_counts(bruteforce_count):
     ok = True
     for atom in _rectangle_sweep():
         k, s = atom.params
-        d = degree_irreducible(atom)
+        d = eval_ratio_direct(degree_ratio(atom))
         shape = RectShape(min(k, s - k), max(k, s - k))
         ok = ok and count_syt_hook(shape) == d
         if shape.cells <= 20:
@@ -191,9 +191,7 @@ def _all_generated_ratios() -> set[FactorialRatio]:
         # bare factors keep their labelling: a SpaceExpr would rewrite I(k,s) to k <= s-k
         factors = space.factors if isinstance(space, SpaceExpr) else (space,)
         for factor in factors:
-            ratio = degree_ratio(factor)
-            if ratio is not None:
-                ratios.add(ratio)
+            ratios.add(degree_ratio(factor))
         if len(factors) > 1:
             ratios.add(multinomial_ratio(tuple(f.dimension for f in factors)))
     return ratios
@@ -220,12 +218,12 @@ def test_criterion_08_identity_suite():
     for atom in atoms:
         expr = SpaceExpr((atom,))
         ok = ok and gamma(expr) == degree(expr) + 1
-        ratio = degree_ratio(atom)
-        if ratio is not None:  # integrality: both paths divide exactly
-            ok = ok and eval_ratio_legendre(ratio) == degree_irreducible(atom)
+        ratio = degree_ratio(atom)  # integrality: both paths divide exactly
+        ok = ok and eval_ratio_legendre(ratio) == eval_ratio_direct(ratio)
     for s in range(2, 15):
         for k in range(1, s):
-            ok = ok and degree_irreducible(type_i(k, s)) == degree_irreducible(type_i(s - k, s))
+            mirrored = eval_ratio_direct(degree_ratio(type_i(s - k, s)))
+            ok = ok and eval_ratio_direct(degree_ratio(type_i(k, s))) == mirrored
     pool = [type_i(k, s) for s in range(2, 9) for k in range(1, s // 2 + 1)]
     pool += [type_ii(s) for s in range(2, 6)]
     pool += [type_iii(s) for s in range(1, 5)]
@@ -238,7 +236,7 @@ def test_criterion_08_identity_suite():
         # the product formula in both raw factor orders (SpaceExpr sorts)
         for order in ((a, b), (b, a)):
             mixing = eval_ratio_direct(multinomial_ratio([f.dimension for f in order]))
-            ok = ok and math.prod(degree_irreducible(f) for f in order) * mixing == d
+            ok = ok and math.prod(eval_ratio_direct(degree_ratio(f)) for f in order) * mixing == d
         ok = ok and gamma(SpaceExpr((a, b))) == d + 1
     for a, b, c in combinations_with_replacement(pool[:8], 3):
         if a.dimension + b.dimension + c.dimension > 15:
@@ -247,7 +245,7 @@ def test_criterion_08_identity_suite():
         grouped = (
             math.comb(a.dimension + b.dimension + c.dimension, c.dimension)
             * degree(SpaceExpr((a, b)))
-            * degree_irreducible(c)
+            * eval_ratio_direct(degree_ratio(c))
         )
         ok = ok and whole == grouped
     _criterion(

@@ -95,23 +95,24 @@ def test_report_exact_case(table):
     assert any("clause (i)" in c for c in rep.citations)
 
 
-@pytest.mark.parametrize("expr", ["II(6)", "I(2,5)", "CP(3)", "IV(7)"])
+@pytest.mark.parametrize("expr", ["II(6)", "I(2,5)", "CP(3)", "IV(7)", "CP(1) x CP(2)"])
 def test_report_evaluates_the_degree_at_most_twice(monkeypatch, table, expr):
-    """S_B and the degree each evaluate it; Gamma is derived from the
-    stored degree and the volume is printed from it, so neither costs an
-    evaluation of its own."""
+    """S_B and the degree each evaluate it, one ratio per factor; Gamma
+    is derived from the stored degree and the volume is printed from it,
+    so neither costs an evaluation of its own."""
     space = parse(expr)
+    expected = degree(space)
     calls = []
-    evaluate = invariants.degree_irreducible
+    ratio = invariants.degree_ratio
 
     def counting(factor):
         calls.append(factor)
-        return evaluate(factor)
+        return ratio(factor)
 
-    monkeypatch.setattr(invariants, "degree_irreducible", counting)
+    monkeypatch.setattr(invariants, "degree_ratio", counting)
     rep = report(space, table)
-    assert rep.degree == evaluate(space.factors[0])
-    assert len(calls) <= 2
+    assert rep.degree == expected
+    assert calls == list(space.factors) * 2  # exactly two evaluations
 
 
 @pytest.mark.parametrize("expr", ["II(6)", "I(5,10)", "CP(1) x CP(2)", "IV(7)"])

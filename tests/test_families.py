@@ -4,8 +4,9 @@ against a hand-written table, and each place that reads them."""
 import pytest
 
 from hssatlas import cli, oracle
+from hssatlas.arith import FactorialRatio, eval_ratio_direct, eval_ratio_legendre
 from hssatlas.atlas import SBResult, report, threshold_scan
-from hssatlas.invariants import degree_irreducible
+from hssatlas.invariants import degree_ratio
 from hssatlas.spaces import (
     COINCIDENCES,
     FAMILIES,
@@ -61,10 +62,10 @@ def test_family_row(kind):
     assert threshold_scan(kind, s, s + 2, k=k).rows[0].param == s
 
     # the degree at one parameter; SpaceExpr rewrites the refused ones into type I
-    assert degree_irreducible(IrreducibleSpace(kind, params)) == degree
+    assert eval_ratio_direct(degree_ratio(IrreducibleSpace(kind, params))) == degree
     for bad in refused:
         with pytest.raises(InvalidParams, match="requires canonical form"):
-            degree_irreducible(IrreducibleSpace(kind, bad))
+            eval_ratio_direct(degree_ratio(IrreducibleSpace(kind, bad)))
 
     for params, dimension, rank in samples:
         factor = IrreducibleSpace(kind, params)
@@ -76,9 +77,26 @@ def test_family_row(kind):
     assert rep.citations[0].startswith(citation)
 
 
+# a few parameters of each family, all canonical
+RATIO_SAMPLES = {
+    "I": [(1, 2), (2, 5), (3, 7), (5, 11)],
+    "II": [(2,), (5,), (9,)],
+    "III": [(1,), (4,), (8,)],
+    "IV": [(3,), (7,), (20,)],
+}
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_every_family_degree_is_a_factorial_ratio(kind):
+    for params in RATIO_SAMPLES[kind]:
+        ratio = FAMILIES[kind].degree(*params)
+        assert type(ratio) is FactorialRatio
+        assert eval_ratio_direct(ratio) == eval_ratio_legendre(ratio) >= 1
+
+
 def test_a_new_family_is_one_row(monkeypatch):
     citation = "degree(V(s)) = 4: a toy family"
-    toy = Family(1, "(s,)", 1, lambda s: 2 * s, lambda s: 1, lambda s: 4, citation)
+    toy = Family(1, "(s,)", 1, lambda s: 2 * s, lambda s: 1, lambda s: FactorialRatio((4,), (3,)), citation)
     monkeypatch.setitem(FAMILIES, "V", toy)
 
     space = parse("V(3) x CP(1)")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hssatlas.arith import FactorialRatio, eval_ratio_direct, eval_ratio_legendre
 from hssatlas.invariants import (
     degree,
-    degree_irreducible,
     degree_ratio,
     gamma,
     gromov_width_units,
@@ -59,7 +58,8 @@ def test_degree_ratio_published_shapes():
     assert degree_ratio(type_ii(5)) == FactorialRatio((10, 2, 4, 6), (4, 5, 6, 7))
     assert degree_ratio(type_iii(5)) == FactorialRatio((15, 2, 4, 6, 8), (5, 6, 7, 8, 9))
     assert degree_ratio(type_i(2, 4)) == FactorialRatio((1, 1, 4), (1, 2, 3))
-    assert degree_ratio(type_iv(6)) is None
+    for s in range(3, 21):  # every canonical quadric: 2! = 2
+        assert degree_ratio(type_iv(s)) == FactorialRatio((2,), ())
 
 
 def test_degree_ratio_rejects_non_canonical_quadrics():
@@ -69,6 +69,19 @@ def test_degree_ratio_rejects_non_canonical_quadrics():
         degree_ratio(type_iv(2))
 
 
+@pytest.mark.parametrize(
+    "text", ["IV(7)^10 x I(5,11)", "I(3,5) x I(3,4)^2 x CP(5) x IV(30)", "IV(5) x IV(3)^2", "IV(9)"]
+)
+def test_degree_is_the_product_of_its_ratios_by_prime_exponents(text):
+    # the factor ratios and, for a product, the multinomial, each through
+    # the evaluator that degree() does not use
+    space = parse(text)
+    ratios = [degree_ratio(f) for f in space.factors]
+    if len(ratios) > 1:
+        ratios.append(multinomial_ratio([f.dimension for f in space.factors]))
+    assert degree(space) == math.prod(eval_ratio_legendre(r) for r in ratios)
+
+
 def test_multinomial_ratio_shape():
     assert multinomial_ratio((4, 1)) == FactorialRatio((5,), (4, 1))
     assert eval_ratio_direct(multinomial_ratio((2, 2))) == 6
@@ -76,20 +89,21 @@ def test_multinomial_ratio_shape():
 
 def test_projective_spaces_have_degree_one():
     for s in range(2, 15):
-        assert degree_irreducible(type_i(1, s)) == 1
+        assert eval_ratio_direct(degree_ratio(type_i(1, s))) == 1
 
 
 def test_two_row_grassmannian_degrees_are_catalan_numbers():
     for s in range(4, 15):
         m = s - 2
         catalan = math.factorial(2 * m) // (math.factorial(m) * math.factorial(m + 1))
-        assert degree_irreducible(type_i(2, s)) == catalan
+        assert eval_ratio_direct(degree_ratio(type_i(2, s))) == catalan
 
 
 def test_type_i_degree_duality():
     for s in range(2, 15):
         for k in range(1, s):
-            assert degree_irreducible(type_i(k, s)) == degree_irreducible(type_i(s - k, s))
+            mirrored = eval_ratio_direct(degree_ratio(type_i(s - k, s)))
+            assert eval_ratio_direct(degree_ratio(type_i(k, s))) == mirrored
 
 
 def test_product_degree_is_reorder_invariant():
@@ -97,7 +111,8 @@ def test_product_degree_is_reorder_invariant():
     a, b, c = type_i(2, 4), type_ii(5), type_iv(3)
     for order in itertools.permutations((a, b, c)):
         mixing = eval_ratio_direct(multinomial_ratio([f.dimension for f in order]))
-        assert math.prod(degree_irreducible(f) for f in order) * mixing == degree(SpaceExpr(order))
+        factors = math.prod(eval_ratio_direct(degree_ratio(f)) for f in order)
+        assert factors * mixing == degree(SpaceExpr(order))
 
 
 def test_product_degree_composes_associatively():
@@ -111,7 +126,7 @@ def test_product_degree_composes_associatively():
         direct = degree(SpaceExpr((x, y, z)))
         inner = degree(SpaceExpr((y, z)))
         nx, nyz = x.dimension, y.dimension + z.dimension
-        composed = math.comb(nx + nyz, nx) * degree_irreducible(x) * inner
+        composed = math.comb(nx + nyz, nx) * eval_ratio_direct(degree_ratio(x)) * inner
         assert composed == direct
 
 

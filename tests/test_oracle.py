@@ -167,13 +167,14 @@ def test_check_type_i_degree_with_bruteforce_coverage(monkeypatch, bruteforce_co
 
 
 def test_check_type_i_degree_hook_only_range():
-    from hssatlas.invariants import degree_irreducible
+    from hssatlas.arith import eval_ratio_direct
+    from hssatlas.invariants import degree_ratio
     from hssatlas.spaces import type_i
 
     for s in range(10, 15):
         for k in range(1, s):
             shape = RectShape(min(k, s - k), max(k, s - k))
-            assert count_syt_hook(shape) == degree_irreducible(type_i(k, s))
+            assert count_syt_hook(shape) == eval_ratio_direct(degree_ratio(type_i(k, s)))
 
 
 def test_check_type_i_degree_can_skip_the_enumeration(monkeypatch):

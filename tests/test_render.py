@@ -5,8 +5,8 @@ Each file under ``tests/golden/`` holds the stdout bytes that
 for one case and one format (the renderer's text plus the final
 newline).  The cases cover every shape of S_B cell: refined from an
 interval, the projective rule, a bare bracket, an exact value, plus a
-warning, a product and both scan footnotes.  A golden changes only with
-an intended, stated byte change.
+warning, two products (one of quadrics), a quadric scan and both scan
+footnotes.  A golden changes only with an intended, stated byte change.
 """
 
 import sys
@@ -30,11 +30,13 @@ REPORTS = {
     "report_III_2": ("III(2)", BUILTIN),  # warning
     "report_II_6": ("II(6)", BUILTIN),  # exact
     "report_CP_1_x_CP_2": ("CP(1) x CP(2)", BUILTIN),  # product
+    "report_IV_5_x_IV_3_2": ("IV(5) x IV(3)^2", BUILTIN),  # quadrics, exact
 }
 
 SCANS = {
     "scan_III_1_6": ("III", 1, 6, None),  # type III footnote
     "scan_I_k2_3_8": ("I", 3, 8, 2),  # refined cells
+    "scan_IV_1_6": ("IV", 1, 6, None),  # IV(1), IV(2) rewritten to type I
 }
 
 
