@@ -29,14 +29,18 @@ import math
 from typing import Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
-from .spaces import FAMILIES, IrreducibleSpace, SpaceExpr
+from .spaces import FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr
 
 
 def degree_ratio(space: IrreducibleSpace) -> FactorialRatio:
     """Factorial-ratio form of the irreducible embedding degree.  A
     spelling that ``SpaceExpr`` rewrites (``spaces.COINCIDENCES``) may
-    raise ``InvalidParams``."""
-    return FAMILIES[space.kind].degree(*space.params)
+    raise ``InvalidParams``, and so does a factor whose ratio has more
+    factorial arguments than a tuple can hold."""
+    try:
+        return FAMILIES[space.kind].degree(*space.params)
+    except OverflowError:
+        raise InvalidParams(f"degree of {space}: too many factorial arguments") from None
 
 
 def multinomial_ratio(dims: Sequence[int]) -> FactorialRatio:

@@ -1,20 +1,21 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hssatlas import arith
 from hssatlas.arith import (
     EXACT_DIVISION_MIN_BITS,
     EXACT_DIVISION_MIN_QUOTIENT_BITS,
+    PRODUCT_TREE_MIN_SUM,
     FactorialRatio,
     NonIntegralRatio,
     eval_ratio_direct,
     eval_ratio_legendre,
     exact_quotient,
 )
-from hssatlas.invariants import degree_ratio
+from hssatlas.invariants import degree_ratio, multinomial_ratio
 from hssatlas.spaces import parse, type_i, type_ii, type_iii
 
 
@@ -113,6 +114,64 @@ def test_both_evaluators_agree_on_large_arguments(num, den):
             eval_ratio_legendre(ratio)
         return
     assert eval_ratio_legendre(ratio) == direct
+
+
+# --- product trees -----------------------------------------------------------
+
+# 9 to 150 arguments under a per-example bound of 0..400, so that a
+# side's sum falls below the tree cutoff for a small bound and far above
+# it for a large one; the length is drawn first, or lists stay short.
+many_factorial_args = st.tuples(
+    st.integers(min_value=9, max_value=150),
+    st.one_of(st.integers(min_value=0, max_value=30), st.integers(min_value=31, max_value=400)),
+).flatmap(lambda size_top: st.lists(
+    st.integers(min_value=0, max_value=size_top[1]), min_size=size_top[0], max_size=size_top[0]
+)).map(tuple)
+
+
+@settings(deadline=None, max_examples=50)
+@given(num=many_factorial_args, data=st.data())
+@example(num=(1,) * 9, data=None)  # sum 9, below the cutoff
+@example(num=(400,) * 150, data=None)  # sum 60,000, a deep tree
+def test_both_evaluators_agree_on_many_arguments(num, data):
+    """Sides with many arguments take the product tree once they sum to
+    the cutoff or more.  The denominator is either drawn on its own
+    (mostly not a divisor) or the numerator with some arguments lowered
+    (always a divisor, since m'! divides m! for m' <= m)."""
+    if data is None:
+        den = num[::-1]
+    elif data.draw(st.booleans(), label="divisor"):
+        den = tuple(data.draw(st.integers(min_value=0, max_value=m)) for m in num)
+    else:
+        den = data.draw(many_factorial_args, label="den")
+    ratio = FactorialRatio(num, den)
+    try:
+        direct = eval_ratio_direct(ratio)
+    except NonIntegralRatio:
+        with pytest.raises(NonIntegralRatio):
+            eval_ratio_legendre(ratio)
+        return
+    assert eval_ratio_legendre(ratio) == direct
+
+
+def test_product_tree_cutoff_does_not_change_a_value(monkeypatch):
+    """Every family ratio with s <= 80 and the multinomials of ``check``,
+    evaluated with the tree on every side, at the module's cutoff, and
+    on no side."""
+    ratios = [degree_ratio(type_i(k, s)) for s in range(2, 81) for k in range(1, s)]
+    ratios += [degree_ratio(type_ii(s)) for s in range(2, 81)]
+    ratios += [degree_ratio(type_iii(s)) for s in range(1, 81)]
+    ratios += [multinomial_ratio(dims) for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))]
+    assert sum(sum(r.numerator_factorials) >= PRODUCT_TREE_MIN_SUM for r in ratios) >= 100
+    values = {}
+    for path, cutoff in {"tree": 0, "cutoff": PRODUCT_TREE_MIN_SUM, "flat": math.inf}.items():
+        monkeypatch.setattr(arith, "PRODUCT_TREE_MIN_SUM", cutoff)
+        values[path] = [eval_ratio_direct(r) for r in ratios]
+    assert values["tree"] == values["cutoff"] == values["flat"]
+    monkeypatch.setattr(arith, "PRODUCT_TREE_MIN_SUM", 0)
+    for ratio in LARGE_NON_INTEGRAL:  # still an error through the tree
+        with pytest.raises(NonIntegralRatio):
+            eval_ratio_direct(ratio)
 
 
 # --- exact division ----------------------------------------------------------

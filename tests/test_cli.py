@@ -181,6 +181,19 @@ def test_table_rejects_an_overlong_range_at_once(capsys):
     assert err.startswith("InvalidParams: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,factor",
+    [
+        (("compute", "CP(100000000000000000000)"), "I(1,100000000000000000001)"),
+        (("table", "I:k=1", "100000000000000000000..100000000000000000001"), "I(1,100000000000000000000)"),
+    ],
+)
+def test_a_type_i_parameter_too_large_for_a_tuple_is_a_usage_error(capsys, argv, factor):
+    """The factor's ratio would have more factorial arguments than a
+    tuple can index: one line naming the factor, not a traceback."""
+    assert run(capsys, *argv) == (2, "", f"InvalidParams: degree of {factor}: too many factorial arguments\n")
+
+
 def test_a_non_integral_degree_exits_3(capsys, monkeypatch):
     # a toy family whose degree formula is 1!/2!, as a mistyped formula would be
     toy = Family(1, "(s,)", 1, lambda s: s, lambda s: 1, lambda s: FactorialRatio((1,), (2,)), "toy")
