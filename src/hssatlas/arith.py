@@ -7,15 +7,16 @@ multiplication followed by one exact division, and reconstruction from
 per-prime exponents.  Each serves as an independent cross-check of the
 other.
 
-The direct evaluator forms each side of the ratio as a product of
-factorials and divides once with ``exact_quotient``.  A side whose
-arguments sum to ``PRODUCT_TREE_MIN_SUM`` or more is multiplied by a
-balanced binary tree over its arguments (binary splitting, after
-Luschny's notes on factorial algorithms): the argument tuple is halved
-until each half sums below the cutoff, each such leaf is one
-left-to-right ``math.prod`` of its factorials, and the leaves are
-multiplied pairwise, so that the large multiplications have operands of
-similar size, where Karatsuba pays.  A smaller side is one ``math.prod``.
+The direct evaluator forms each side of the ratio with
+``_product_tree`` and divides once with ``exact_quotient``.  A side of
+two or more arguments that sum to ``PRODUCT_TREE_MIN_SUM`` or more is
+multiplied by a balanced binary tree over its arguments (binary
+splitting, after Luschny's notes on factorial algorithms): the argument
+tuple is halved until each half sums below the cutoff or holds one
+argument, each such leaf is one left-to-right ``math.prod`` of its
+factorials, and the leaves are multiplied pairwise, so that the large
+multiplications have operands of similar size, where Karatsuba pays.
+Any other side is a single leaf.
 
 The division is ``exact_quotient``.  Below
 ``EXACT_DIVISION_MIN_BITS`` denominator bits, or for a quotient of
@@ -112,14 +113,14 @@ def exact_quotient(num: int, den: int) -> int | None:
     return q if q * d == a else None
 
 
-# A side of a ratio whose factorial arguments sum to fewer than this is
-# one left-to-right ``math.prod``; a larger side is a product tree with
-# leaves that sum below it.  A growing product times one factorial at a
-# time multiplies operands of very different sizes; pairing halves of
-# similar size is faster from about this sum on (crossover between
-# argument sums of 2,300 and 3,200 on the family degree ratios, CPython
-# 3.11; the evaluation of II(149), whose sides each sum to 32,782, is
-# about 2.4x faster).
+# A side of a ratio that has one argument, or whose factorial arguments
+# sum to fewer than this, is one left-to-right ``math.prod``; any other
+# side is a product tree with leaves that sum below it.  A growing
+# product times one factorial at a time multiplies operands of very
+# different sizes; pairing halves of similar size is faster from about
+# this sum on (crossover between argument sums of 2,300 and 3,200 on the
+# family degree ratios, CPython 3.11; the evaluation of II(149), whose
+# sides each sum to 32,782, is about 2.4x faster).
 PRODUCT_TREE_MIN_SUM = 2048
 
 
@@ -135,19 +136,11 @@ def _product_tree(args: tuple[int, ...]) -> int:
 def eval_ratio_direct(ratio: FactorialRatio) -> int:
     """Evaluate by big-integer multiplication and one exact division.
 
-    Each side is a product tree when its arguments sum to
-    ``PRODUCT_TREE_MIN_SUM`` or more, and one ``math.prod`` otherwise;
-    the test is made here, so that a small ratio pays no extra call.
+    Each side is one ``_product_tree``, which decides between the tree
+    and a single ``math.prod``; a one-argument side (IV's 2!, the n! of
+    a multinomial) is decided before any sum is taken.
     """
-    num_args, den_args = ratio
-    if sum(num_args) < PRODUCT_TREE_MIN_SUM:
-        num = math.prod(map(math.factorial, num_args))
-    else:
-        num = _product_tree(num_args)
-    if sum(den_args) < PRODUCT_TREE_MIN_SUM:
-        den = math.prod(map(math.factorial, den_args))
-    else:
-        den = _product_tree(den_args)
+    num, den = map(_product_tree, ratio)
     quotient = exact_quotient(num, den)
     if quotient is None:
         raise NonIntegralRatio(f"{ratio} is not an integer")

@@ -1,11 +1,14 @@
 """Minimal-atlas classification, literature refinements, reports, scans.
 
 The number S_B of Darboux charts needed to cover a space is classified
-from two exact integers (the embedding degree and the complex dimension)
-by the minimal-atlas theorem of Rudyak and Schlenk:
+from two exact integers, Gamma and the complex dimension n, by the
+minimal-atlas theorem of Rudyak and Schlenk:
 
-    clause (i):  degree >= 2n  =>  S_B = degree + 1          ("Thm1(i)")
-    clause (ii): otherwise  max(n+1, degree+1) <= S_B <= 2n+1 ("Thm1(ii)")
+    clause (i):  Gamma >= 2n+1  =>  S_B = Gamma               ("Thm1(i)")
+    clause (ii): otherwise  max(n+1, Gamma) <= S_B <= 2n+1    ("Thm1(ii)")
+
+Gamma comes from the embedding degree and the Gromov width through
+``invariants.gamma_from_degree``; for a width of pi it is degree + 1.
 
 A refinement table overlays sharper literature values onto clause (ii)
 brackets; it can only narrow a bracket, never contradict it, and never
@@ -51,8 +54,8 @@ class Refinement(NamedTuple):
 
 class SBResult(NamedTuple):
     """Outcome of the classification: an exact chart count, or the
-    clause (ii) bracket [max(n+1, degree+1), 2n+1], optionally narrowed
-    by a refinement."""
+    clause (ii) bracket [max(n+1, Gamma), 2n+1], optionally narrowed by
+    a refinement."""
 
     kind: str  # "Exact" | "Range"
     value: int | None = None
@@ -202,19 +205,17 @@ class RefinementTable(_RefinementTableFields):
         return None
 
 
-def classify(space: SpaceExpr, table: RefinementTable | None = None) -> SBResult:
-    """Exact chart count when degree >= 2n, otherwise the theorem
-    bracket, narrowed by the refinement table when one is supplied."""
-    return _classify(space, degree(space), table)
-
-
-def _classify(space: SpaceExpr, d: int, table: RefinementTable | None) -> SBResult:
-    """``classify`` for a space whose degree ``d`` is already known."""
+def classify(space: SpaceExpr, table: RefinementTable | None = None, d: int | None = None) -> SBResult:
+    """S_B from Gamma and n: exact when Gamma >= 2n+1, otherwise the
+    theorem bracket, narrowed by the refinement table when one is
+    supplied.  A caller that already holds the degree passes it as
+    ``d``; otherwise it is evaluated here."""
     n = space.dimension
-    if d >= 2 * n:
-        return SBResult.exact(d + 1)
+    g = gamma_from_degree(degree(space) if d is None else d, n, gromov_width_units(space))
+    if g >= 2 * n + 1:
+        return SBResult.exact(g)
     refinement = table.lookup(space) if table is not None else None
-    return SBResult.bracket(max(n + 1, d + 1), 2 * n + 1, refinement)
+    return SBResult.bracket(max(n + 1, g), 2 * n + 1, refinement)
 
 
 class Report(NamedTuple):
@@ -274,8 +275,9 @@ def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
 def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     """Full invariant report for one (product) space.
 
-    The degree is evaluated twice: once inside ``classify`` and once
-    here, where Gamma is derived from it and from the Gromov width."""
+    The degree is evaluated twice: once inside ``classify``, which
+    derives S_B from Gamma, and once here, where Gamma is derived from
+    it and from the Gromov width by the same ``gamma_from_degree``."""
     # a second degree evaluation, kept for the traced classify layer until ROADMAP item 1 lands
     sb = classify(space, table)
     d, n, width = degree(space), space.dimension, gromov_width_units(space)
@@ -372,7 +374,7 @@ def threshold_scan(
     for s in range(start, stop + 1):
         space = SpaceExpr((IrreducibleSpace(family, (s,) if k is None else (k, s)),))
         d = degree(space)
-        sb = _classify(space, d, table)
+        sb = classify(space, table, d)
         rows.append(ScanRow(param=s, n=space.dimension, degree=d, sb=sb))
 
     first_exact = None

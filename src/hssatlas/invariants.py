@@ -13,10 +13,11 @@ so in units of pi^n/n! the volume is the degree itself, and Gamma =
 floor(Vol * n! / width^n) + 1 is floor(degree / w^n) + 1 for a width of
 w units of pi.  ``gamma_from_degree`` computes it from a given degree
 and width; with w = 1 it is the exact integer degree + 1 -- no floating
-point is involved anywhere.  So no volume is stored: a report prints it
-from its degree and n, and gets Gamma from that same degree.  A report
-evaluates the degree twice: once for itself and once inside
-``atlas.classify``.
+point is involved anywhere.  It is the only place a degree becomes
+Gamma: ``atlas.classify`` takes S_B from it, and a report takes its
+printed Gamma from it.  No volume is stored: a report prints it from
+its degree and n.  A report evaluates the degree twice: once for itself
+and once inside ``atlas.classify``; a scan evaluates it once per row.
 
 Each family's degree is a ``FactorialRatio`` column of
 ``spaces.FAMILIES`` (2! for a quadric); a product multiplies the factor

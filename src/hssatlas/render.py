@@ -147,9 +147,9 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
-def report_to_obj(report: Report) -> dict:
+def render_report_json(report: Report) -> str:
     text = cache(digits)
-    return {
+    return _json({
         "space": report.space,
         "n": text(report.n),
         "rank": text(report.rank),
@@ -161,11 +161,7 @@ def report_to_obj(report: Report) -> dict:
         "case": report.case,
         "warnings": list(report.warnings),
         "citations": list(report.citations),
-    }
-
-
-def render_report_json(report: Report) -> str:
-    return _json(report_to_obj(report))
+    })
 
 
 def render_report_human(report: Report) -> str:
@@ -241,8 +237,8 @@ def render_report_latex(report: Report) -> str:
 # --- threshold scans -------------------------------------------------------
 
 
-def scan_to_obj(scan: ScanResult) -> dict:
-    return {
+def render_scan_json(scan: ScanResult) -> str:
+    return _json({
         "family": scan.family,
         "rows": [
             {
@@ -256,7 +252,7 @@ def scan_to_obj(scan: ScanResult) -> dict:
         ],
         "first_exact": None if scan.first_exact is None else digits(scan.first_exact),
         "footnotes": list(scan.footnotes),
-    }
+    })
 
 
 def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
@@ -265,10 +261,6 @@ def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
         (digits(row.param), digits(row.n), digits(row.degree), sb_cell(row.sb), row.clause)
         for row in scan.rows
     ]
-
-
-def render_scan_json(scan: ScanResult) -> str:
-    return _json(scan_to_obj(scan))
 
 
 def render_scan_human(scan: ScanResult) -> str:

@@ -162,12 +162,15 @@ def test_product_tree_cutoff_does_not_change_a_value(monkeypatch):
     ratios += [degree_ratio(type_ii(s)) for s in range(2, 81)]
     ratios += [degree_ratio(type_iii(s)) for s in range(1, 81)]
     ratios += [multinomial_ratio(dims) for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))]
+    # one-argument sides above the cutoff
+    ratios += [multinomial_ratio([900] * 8), FactorialRatio((3000,), (2999,))]
     assert sum(sum(r.numerator_factorials) >= PRODUCT_TREE_MIN_SUM for r in ratios) >= 100
     values = {}
     for path, cutoff in {"tree": 0, "cutoff": PRODUCT_TREE_MIN_SUM, "flat": math.inf}.items():
         monkeypatch.setattr(arith, "PRODUCT_TREE_MIN_SUM", cutoff)
         values[path] = [eval_ratio_direct(r) for r in ratios]
     assert values["tree"] == values["cutoff"] == values["flat"]
+    assert values["cutoff"][-1] == 3000
     monkeypatch.setattr(arith, "PRODUCT_TREE_MIN_SUM", 0)
     for ratio in LARGE_NON_INTEGRAL:  # still an error through the tree
         with pytest.raises(NonIntegralRatio):

@@ -126,6 +126,9 @@ def test_report_takes_gamma_from_the_width_as_a_value(monkeypatch, table, expr):
     assert rep.gromov_width_units == 2
     assert rep.gamma == d // 2**n + 1
     assert rep.degree == d
+    # S_B follows from the same Gamma and n, not from the degree: each
+    # Gamma here is below 2n+1, so clause (ii) fires even for II(6)
+    assert (rep.sb.kind, rep.sb.lower, rep.sb.upper) == ("Range", max(n + 1, rep.gamma), 2 * n + 1)
 
 
 _GAMMA_SWEEP = [
@@ -395,6 +398,23 @@ def test_scan_first_exact_requires_a_stable_suffix():
     # the scan stops while the clause is still a bracket
     assert threshold_scan("II", 2, 5).first_exact is None
     assert threshold_scan("II", 6, 8).first_exact == 6
+
+
+@pytest.mark.parametrize("family, start, stop, k", [("I", 3, 9, 2), ("II", 2, 8, None), ("IV", 1, 6, None)])
+def test_scan_evaluates_each_degree_once(monkeypatch, table, family, start, stop, k):
+    calls = []
+    ratio = invariants.degree_ratio
+
+    def counting(factor):
+        calls.append(factor)
+        return ratio(factor)
+
+    monkeypatch.setattr(invariants, "degree_ratio", counting)
+    scan = threshold_scan(family, start, stop, k=k, table=table)
+    atoms = [IrreducibleSpace(family, (s,) if k is None else (k, s)) for s in range(start, stop + 1)]
+    spaces = [SpaceExpr((atom,)) for atom in atoms]
+    assert calls == [f for space in spaces for f in space.factors]  # one evaluation per row
+    assert [row.degree for row in scan.rows] == [degree(space) for space in spaces]
 
 
 def test_scan_rows_carry_refinements_when_table_given(table):
