@@ -278,7 +278,7 @@ def report(space: SpaceExpr, table: RefinementTable | None = None) -> Report:
     The degree is evaluated twice: once inside ``classify``, which
     derives S_B from Gamma, and once here, where Gamma is derived from
     it and from the Gromov width by the same ``gamma_from_degree``."""
-    # a second degree evaluation, kept for the traced classify layer until ROADMAP item 1 lands
+    # a second degree evaluation: passing d to classify waits for the RSS fix of ROADMAP item 1
     sb = classify(space, table)
     d, n, width = degree(space), space.dimension, gromov_width_units(space)
     # factors are in canonical order, so the kinds come in FAMILIES order

@@ -11,11 +11,11 @@ degree, so it is printed from ``degree`` and ``n``.  A report's
 renderers convert each distinct integer once per call, through a
 ``cache(digits)`` that dies with the call: an exact report prints its
 degree twice (as the degree and as the volume) and Gamma twice (gamma
-and S_B).  A check result carries each probe's expected verdict, so of
-the oracle module only the CSV header's ``Diagnostic`` is imported; it,
-``json`` and ``csv`` load only for the formats and commands a process
-runs.  All renderers are deterministic: the same value always produces
-the same bytes.
+and S_B).  Each check diagnostic carries its probe's expected verdict
+and the CSV header is written here, so the oracle module is imported
+only for type checking; ``json`` and ``csv`` load only for the formats
+and commands a process runs.  All renderers are deterministic: the same
+value always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -312,18 +312,17 @@ def render_check_human(result: CheckResult) -> str:
         f"type I degree vs tableau counts: {result.syt_checked} cases: {syt_status}",
         "isomorphism diagnostics:",
     ]
-    for diag, expected in zip(result.diagnostics, result.expected):
-        if diag.verdict != expected:
+    for diag in result.diagnostics:
+        if diag.verdict != diag.expected:
             note = " (UNEXPECTED)"
         else:
-            note = " (expected)" if expected == "Mismatch" else ""
+            note = " (expected)" if diag.expected == "Mismatch" else ""
         lines.append(
             f"  {diag.left} vs {diag.right}: dims match: {'yes' if diag.dims_match else 'no'}, "
             f"degrees {digits(diag.degree_left)} vs {digits(diag.degree_right)}: {diag.verdict}{note}"
         )
     if result.ok:
-        # every verdict is its row's, so these are the expected mismatches
-        mismatches = sorted((d.left, d.right) for d in result.diagnostics if d.verdict == "Mismatch")
+        mismatches = sorted((d.left, d.right) for d in result.diagnostics if d.expected == "Mismatch")
         passes = len(result.diagnostics) - len(mismatches)
         labels = ", ".join(pair_label(*pair) for pair in mismatches)
         lines.append(
@@ -340,9 +339,8 @@ def render_check_json(result: CheckResult) -> str:
 
 
 def render_check_csv(result: CheckResult) -> str:
-    from .oracle import Diagnostic
-
-    return _csv(Diagnostic._fields, (diagnostic_to_obj(d).values() for d in result.diagnostics))
+    header = ("left", "right", "dims_match", "degree_left", "degree_right", "verdict")
+    return _csv(header, (diagnostic_to_obj(d).values() for d in result.diagnostics))
 
 
 def render_check_latex(result: CheckResult) -> str:

@@ -71,13 +71,13 @@ def _degree_i(k: int, s: int) -> FactorialRatio:
 
 
 def _degree_ii(s: int) -> FactorialRatio:
-    evens = tuple(2 * j for j in range(1, s - 1))
+    evens = tuple(range(2, 2 * (s - 1), 2))
     return FactorialRatio((s * (s - 1) // 2,) + evens, tuple(range(s - 1, 2 * s - 2)))
 
 
 def _degree_iii(s: int) -> FactorialRatio:
     # The published closed form, verbatim; see COINCIDENCES for III(2).
-    evens = tuple(2 * j for j in range(1, s))
+    evens = tuple(range(2, 2 * s, 2))
     return FactorialRatio((s * (s + 1) // 2,) + evens, tuple(range(s, 2 * s)))
 
 

@@ -194,6 +194,34 @@ def test_a_type_i_parameter_too_large_for_a_tuple_is_a_usage_error(capsys, argv,
     assert run(capsys, *argv) == (2, "", f"InvalidParams: degree of {factor}: too many factorial arguments\n")
 
 
+@pytest.mark.parametrize(
+    "argv,factor",
+    [
+        (("compute", "II(100000000000000000000)"), "II(100000000000000000000)"),
+        (("compute", "III(100000000000000000000)"), "III(100000000000000000000)"),
+        (("table", "III", "100000000000000000000..100000000000000000001"), "III(100000000000000000000)"),
+    ],
+)
+def test_a_type_ii_or_iii_parameter_too_large_for_a_tuple_is_a_usage_error(argv, factor):
+    """As for type I, one line naming the factor.  The command runs in a
+    child capped at 512 MB of address space: even arguments built one
+    at a time, not from a range, would grow without bound and end in
+    MemoryError there."""
+    import resource
+
+    cap = 512 * 2**20
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "hssatlas", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    message = f"InvalidParams: degree of {factor}: too many factorial arguments\n"
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
 def test_a_non_integral_degree_exits_3(capsys, monkeypatch):
     # a toy family whose degree formula is 1!/2!, as a mistyped formula would be
     toy = Family(1, "(s,)", 1, lambda s: s, lambda s: 1, lambda s: FactorialRatio((1,), (2,)), "toy")

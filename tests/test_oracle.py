@@ -202,14 +202,29 @@ def test_the_tableau_sweep_is_one_check_per_case(monkeypatch):
 
 def test_isomorphism_diagnostics_expected_verdicts():
     expected = [
-        Diagnostic("II(2)", "I(1,2)", True, 1, 1, "Pass"),
-        Diagnostic("II(3)", "I(1,4)", True, 1, 1, "Pass"),
-        Diagnostic("II(4)", "IV(6)", True, 2, 2, "Pass"),
-        Diagnostic("III(1)", "I(1,2)", True, 1, 1, "Pass"),
-        Diagnostic("III(2)", "IV(3)", True, 1, 2, "Mismatch"),
-        Diagnostic("IV(4)", "I(2,4)", True, 2, 2, "Pass"),
+        Diagnostic("II(2)", "I(1,2)", True, 1, 1, "Pass", "Pass"),
+        Diagnostic("II(3)", "I(1,4)", True, 1, 1, "Pass", "Pass"),
+        Diagnostic("II(4)", "IV(6)", True, 2, 2, "Pass", "Pass"),
+        Diagnostic("III(1)", "I(1,2)", True, 1, 1, "Pass", "Pass"),
+        Diagnostic("III(2)", "IV(3)", True, 1, 2, "Mismatch", "Mismatch"),
+        Diagnostic("IV(4)", "I(2,4)", True, 2, 2, "Pass", "Pass"),
     ]
     assert isomorphism_diagnostics() == expected
+
+
+def test_each_diagnostic_carries_its_own_rows_verdict(monkeypatch):
+    probed = [row for row in COINCIDENCES if row.verdict is not None]
+    assert [d.expected for d in isomorphism_diagnostics()] == [row.verdict for row in probed]
+    # a row without a verdict between two probes is skipped, and each
+    # probe still carries the verdict of its own row
+    unprobed = next(row for row in COINCIDENCES if row.verdict is None)
+    (mismatch,) = [row for row in probed if row.verdict == "Mismatch"]
+    rows = (mismatch, unprobed, probed[0])
+    monkeypatch.setattr(oracle, "COINCIDENCES", rows)
+    assert [(d.left, d.right, d.expected) for d in isomorphism_diagnostics()] == [
+        (*row.pair, row.verdict) for row in (mismatch, probed[0])
+    ]
+    assert run_checks().ok
 
 
 def test_diagnostics_are_deterministic_and_order_stable():
@@ -235,7 +250,7 @@ def test_run_checks_counts_and_expected_verdicts():
     assert (result.syt_checked, result.syt_failed) == (49, 0)
     assert result.diagnostics == tuple(isomorphism_diagnostics())
     assert len(result.diagnostics) == 6
-    assert result.expected == ("Pass",) * 4 + ("Mismatch", "Pass")
+    assert tuple(d.expected for d in result.diagnostics) == ("Pass",) * 4 + ("Mismatch", "Pass")
     assert result.unexpected == 0
     assert result.ok
 
