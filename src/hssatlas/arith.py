@@ -30,10 +30,17 @@ lifted by Newton-Hensel steps.  That is multiplications only, which
 CPython does by Karatsuba, in place of schoolbook long division.  The
 candidate is returned only if candidate * d equals num / 2^e in full:
 that product is the exactness check, as strong as a zero remainder.
+
+The prime-exponent evaluator, ``eval_ratio_legendre``, shares none of
+this.  It first cancels the arguments the two sides have in common (a
+Hua ratio of ``I(k,s)`` lists about 2s of them, and about 2k+1 are
+left), then sums Legendre's exponents of each prime up to the largest
+argument left, and multiplies the resulting prime powers pairwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -154,18 +161,16 @@ def _primes_upto(limit: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p, flag in enumerate(sieve) if flag]
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
-def _prime_exponent_in_factorial(m: int, p: int) -> int:
-    """Exponent of the prime p in m!: sum of floor(m / p^i)."""
-    exponent = 0
-    power = p
-    while power <= m:
-        exponent += m // power
-        power *= p
-    return exponent
+def _multiply_pairwise(factors: list[int]) -> int:
+    """The product of factors, multiplying neighbours pairwise until one
+    is left."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return math.prod(factors)
 
 
 def eval_ratio_legendre(ratio: FactorialRatio) -> int:
@@ -173,31 +178,44 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
 
     The net exponent of each prime is the signed sum of its exponents
     in the individual factorials; a negative net exponent is exactly
-    the condition for the ratio not to be an integer.
+    the condition for the ratio not to be an integer, and the error
+    names the smallest such prime.
 
-    The arguments are scanned in descending order, and the scan for a
-    prime p stops at the first argument m < p, whose factorial p does
-    not divide.  Primes sharing a net exponent e are multiplied
-    together first and raised to e once, so the result takes one big
-    multiplication per distinct exponent instead of one per prime.
+    The ratio is first reduced to net multiplicities: each distinct
+    argument counts once per numerator occurrence and minus once per
+    denominator occurrence, and the arguments whose count is 0, as well
+    as 0 and 1 (0! = 1! = 1), are dropped.  A negative argument raises
+    ``ValueError``, as ``math.factorial`` does, even where it would
+    cancel.  Primes are sieved only up to the largest argument left, so
+    a ratio that cancels entirely returns 1 without a sieve.  The
+    exponent of p in m! is Legendre's sum of floor(m / p^i), and the
+    scan for p stops at the first remaining argument below p, whose
+    factorial p does not divide.  Primes sharing a net exponent e are
+    multiplied together and raised to e once, and these powers are
+    multiplied pairwise, so that the large multiplications have
+    operands of similar size.
     """
-    signed = sorted(
-        [(m, 1) for m in ratio.numerator_factorials]
-        + [(m, -1) for m in ratio.denominator_factorials],
-        reverse=True,
-    )
+    counts: dict[int, int] = {}
+    for m in ratio.numerator_factorials:
+        counts[m] = counts.get(m, 0) + 1
+    for m in ratio.denominator_factorials:
+        counts[m] = counts.get(m, 0) - 1
+    if counts and min(counts) < 0:
+        raise ValueError("factorial() not defined for negative values")
+    terms = sorted(((m, count) for m, count in counts.items() if count and m > 1), reverse=True)
     by_exponent: dict[int, list[int]] = {}
-    for p in _primes_upto(signed[0][0] if signed else 0):
+    for p in _primes_upto(terms[0][0] if terms else 0):
         net = 0
-        for m, sign in signed:
+        for m, count in terms:
             if m < p:
                 break
-            net += sign * _prime_exponent_in_factorial(m, p)
+            exponent, q = 0, m // p
+            while q:
+                exponent += q
+                q //= p
+            net += count * exponent
         if net < 0:
             raise NonIntegralRatio(f"{ratio} is not an integer (prime {p} left over)")
         if net:
             by_exponent.setdefault(net, []).append(p)
-    value = 1
-    for net, primes in by_exponent.items():
-        value *= math.prod(primes) ** net
-    return value
+    return _multiply_pairwise([math.prod(primes) ** net for net, primes in by_exponent.items()])

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,10 @@ KNOWN_RATIOS = [
     (FactorialRatio((15, 2, 4, 6, 8), (5, 6, 7, 8, 9)), 286),
     (FactorialRatio((), ()), 1),
     (FactorialRatio((0, 1), ()), 1),
+    # equal arguments on both sides cancel, and 0! = 1! = 1 drop out
+    (FactorialRatio((5, 5, 5), (5, 5)), 120),
+    (FactorialRatio((0, 1, 7), (1, 0)), 5040),
+    (FactorialRatio((), (0, 1)), 1),
 ]
 
 
@@ -42,6 +47,23 @@ def test_eval_ratio_direct_known_values(ratio, expected):
 @pytest.mark.parametrize("ratio,expected", KNOWN_RATIOS)
 def test_eval_ratio_legendre_known_values(ratio, expected):
     assert eval_ratio_legendre(ratio) == expected
+
+
+def test_legendre_cancels_equal_arguments_before_sieving():
+    # a sieve up to 10**12 would not fit in memory
+    assert eval_ratio_legendre(FactorialRatio((10**12,), (10**12,))) == 1
+
+
+@pytest.mark.parametrize("evaluate", [eval_ratio_direct, eval_ratio_legendre])
+@pytest.mark.parametrize(
+    "ratio",
+    [FactorialRatio((-1,), (1,)), FactorialRatio((5,), (-2,)), FactorialRatio((-3,), (-3,))],
+    ids=str,
+)
+def test_negative_factorial_argument_is_an_error(evaluate, ratio):
+    """As in ``math.factorial``, even where the argument would cancel."""
+    with pytest.raises(ValueError, match="factorial\\(\\) not defined for negative values"):
+        evaluate(ratio)
 
 
 @pytest.mark.parametrize("evaluate", [eval_ratio_direct, eval_ratio_legendre])
@@ -83,21 +105,27 @@ def test_evaluators_agree_on_every_family_ratio():
         assert eval_ratio_legendre(ratio) == eval_ratio_direct(ratio)
 
 
-# Non-integral ratios whose arguments exceed 40; the failing prime is
-# larger than some arguments, so the prime-exponent scan stops early.
+# Non-integral ratios whose arguments exceed 40, each with the smallest
+# prime whose net exponent is negative; that prime is larger than some
+# arguments, so the prime-exponent scan stops early.
 LARGE_NON_INTEGRAL = [
-    FactorialRatio((60, 60), (61, 59)),  # 60/61
-    FactorialRatio((100,), (53, 53)),  # 53^1 over 53^2
-    FactorialRatio((97, 3), (98,)),  # 6/98
-    FactorialRatio((200, 41), (199, 43)),  # 200/(42*43)
-    FactorialRatio((150, 150), (151, 149, 2)),  # 150/(151*2)
+    (FactorialRatio((60, 60), (61, 59)), 61),  # 60/61
+    (FactorialRatio((100,), (53, 53)), 2),  # 53^1 over 53^2
+    (FactorialRatio((97, 3), (98,)), 7),  # 6/98
+    (FactorialRatio((200, 41), (199, 43)), 3),  # 200/(42*43)
+    (FactorialRatio((150, 150), (151, 149, 2)), 151),  # 150/(151*2)
 ]
 
 
 @pytest.mark.parametrize("evaluate", [eval_ratio_direct, eval_ratio_legendre])
-@pytest.mark.parametrize("ratio", LARGE_NON_INTEGRAL, ids=str)
-def test_non_integral_ratio_with_large_arguments(evaluate, ratio):
-    with pytest.raises(NonIntegralRatio):
+@pytest.mark.parametrize("ratio,prime", [pytest.param(*case, id=str(case[0])) for case in LARGE_NON_INTEGRAL])
+def test_non_integral_ratio_with_large_arguments(evaluate, ratio, prime):
+    """The prime-exponent evaluator names the smallest prime whose net
+    exponent is negative."""
+    message = f"{ratio} is not an integer"
+    if evaluate is eval_ratio_legendre:
+        message += f" (prime {prime} left over)"
+    with pytest.raises(NonIntegralRatio, match=f"^{re.escape(message)}$"):
         evaluate(ratio)
 
 
@@ -172,7 +200,7 @@ def test_product_tree_cutoff_does_not_change_a_value(monkeypatch):
     assert values["tree"] == values["cutoff"] == values["flat"]
     assert values["cutoff"][-1] == 3000
     monkeypatch.setattr(arith, "PRODUCT_TREE_MIN_SUM", 0)
-    for ratio in LARGE_NON_INTEGRAL:  # still an error through the tree
+    for ratio, _ in LARGE_NON_INTEGRAL:  # still an error through the tree
         with pytest.raises(NonIntegralRatio):
             eval_ratio_direct(ratio)
 
@@ -254,13 +282,16 @@ def _ratio_operands(space):
 
 def test_exact_quotient_on_large_family_ratios_matches_divmod():
     """The large spaces of the benchmark's report pool, against a
-    schoolbook divmod reference computed here."""
+    schoolbook divmod reference computed here, which the prime-exponent
+    evaluator must match too."""
     for text in ("II(149)", "III(140)", "I(120,240)", "I(6,220)"):
-        num, den = _ratio_operands(parse(text).factors[0])
+        factor = parse(text).factors[0]
+        num, den = _ratio_operands(factor)
         assert den.bit_length() >= CUTOFF, text  # the 2-adic path
         quotient, remainder = divmod(num, den)
         assert remainder == 0
         assert exact_quotient(num, den) == quotient
+        assert eval_ratio_legendre(degree_ratio(factor)) == quotient, text
         assert exact_quotient(num + 1, den) is None
         v = (quotient & -quotient).bit_length() - 1  # 2^v exactly divides the quotient
         assert exact_quotient(num, den << (v + 1)) is None  # one factor of 2 short
