@@ -11,8 +11,8 @@ Gamma comes from the embedding degree and the Gromov width through
 ``invariants.gamma_from_degree``; for a width of pi it is degree + 1.
 
 A refinement table overlays sharper literature values onto clause (ii)
-brackets; it can only narrow a bracket, never contradict it, and never
-changes which clause fired.
+brackets.  Every construction checks each record, so a table can only
+narrow a bracket, never contradict it, and never changes which clause fired.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ PROJECTIVE_RULE_TOKEN = "n_plus_1"
 
 class Refinement(NamedTuple):
     """A refinement record, or the result of a lookup: the pattern and
-    citation of the record that matched, with its values as a tuple.  In
-    a record, ``values`` is a sorted tuple for '{5,6}', a ``range`` for
-    '[7,10]' (a record costs the same whatever its width) and None for
-    the projective rule."""
+    citation of the record that matched, with its values as a tuple.  A
+    table keeps a record with its key canonical and ``values`` a sorted
+    tuple for '{5,6}', a ``range`` for '[7,10]' (a record costs the same
+    whatever its width) or None for the projective rule on I(1,*)."""
 
     pattern: str  # canonical key, or "I(1,*)" for the projective rule
     values: tuple[int, ...] | range | None
@@ -83,16 +83,43 @@ def _parse_values_spec(spec: str) -> tuple[int, ...] | range | None:
         return None
     if spec.startswith("{") and spec.endswith("}"):
         body = spec[1:-1]
-        if not body.strip():
-            raise ValueError("empty value set")
-        return tuple(sorted({read_int(v) for v in body.split(",")}))
+        return tuple(read_int(v) for v in body.split(",")) if body.strip() else ()
     if spec.startswith("[") and spec.endswith("]"):
         lo_text, _, hi_text = spec[1:-1].partition(",")
-        lo, hi = read_int(lo_text), read_int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty interval [{lo},{hi}]")
-        return range(lo, hi + 1)
+        return range(read_int(lo_text), read_int(hi_text) + 1)
     raise ValueError(f"values must look like '{{5,6}}', '[7,10]' or '{PROJECTIVE_RULE_TOKEN}', got {spec!r}")
+
+
+def _checked(record: Refinement, written: str | None = None) -> Refinement:
+    """The record with its key canonical and a value set sorted and
+    deduplicated, or a ValueError naming its first fault; a contradiction
+    quotes ``written``, else the values given.  A ``range`` is never iterated."""
+    pattern, values, citation = record
+    if not citation:
+        raise ValueError("a citation is mandatory")
+    if values is None:
+        if pattern != PROJECTIVE_RULE_PATTERN:
+            raise ValueError(f"the {PROJECTIVE_RULE_TOKEN} rule requires pattern {PROJECTIVE_RULE_PATTERN}")
+        return Refinement(pattern, None, citation)
+    if isinstance(values, range):
+        if values.step != 1:
+            raise ValueError(f"an interval must have step 1, got {values!r}")
+        if not values:
+            raise ValueError(f"empty interval [{values.start},{values.stop - 1}]")
+    elif not (values := tuple(sorted(set(values)))):
+        raise ValueError("empty value set")
+    try:
+        space = parse(pattern)
+    except ValueError as exc:
+        raise ValueError(f"key {pattern!r}: {exc}") from None
+    bare = classify(space)
+    lower, upper = (bare.value, bare.value) if bare.kind == "Exact" else (bare.lower, bare.upper)
+    if not (lower <= values[0] and values[-1] <= upper):
+        raise ValueError(
+            f"refinement {written or record.values} for {space.render()} "
+            f"contradicts the theorem bounds {lower}..{upper}"
+        )
+    return Refinement(space.render(), values, citation)
 
 
 def _is_single_projective(space: SpaceExpr) -> bool:
@@ -106,18 +133,22 @@ class _RefinementTableFields(NamedTuple):
 
 
 class RefinementTable(_RefinementTableFields):
-    """The records of one refinement table, in file order.
-
-    Built from ``entries`` alone: ``by_key`` maps each explicit key to
-    its first record (a read-only view) and ``rule`` is the first record
-    whose ``values`` is None (the projective rule), so a lookup is one
-    dict probe.  An explicit key beats the rule.
+    """The records of one refinement table, in file order, each checked
+    by ``_checked`` on every construction, ``_replace`` included.
+    ``by_key`` maps each explicit key to its first record (a read-only
+    view) and ``rule`` is the first record whose ``values`` is None (the
+    projective rule), so a lookup is one dict probe.  An explicit key
+    beats the rule.
     """
 
     __slots__ = ()
 
     def __new__(cls, entries: Iterable[Refinement]) -> RefinementTable:
-        entries = tuple(entries)
+        return cls._indexed(tuple(map(_checked, entries)))
+
+    @classmethod
+    def _indexed(cls, entries: tuple[Refinement, ...]) -> RefinementTable:
+        # entries that _checked has returned; from_lines checks each once, with its line
         by_key: dict[str, Refinement] = {}
         rule = None
         for entry in entries:
@@ -129,53 +160,32 @@ class RefinementTable(_RefinementTableFields):
 
     @classmethod
     def _make(cls, iterable: Iterable[object]) -> RefinementTable:
-        return cls(tuple(iterable)[0])  # so that _replace() rebuilds the index
+        return cls(tuple(iterable)[0])  # so that _replace() checks and rebuilds the index
 
     @classmethod
     def from_lines(cls, lines: Iterable[str], source: str = "<memory>") -> "RefinementTable":
         """Parse '|'-separated records; '#' lines are comments.
 
-        Explicit entries are validated at load time: the key must parse
-        and the values must sit inside the bounds the theorem gives for
-        that space.  Every error is a ``ValueError`` that names the
-        source and the line.
+        Each record is checked as a directly built one is; every error
+        is a ``ValueError`` that names the source and the line, and a
+        contradiction quotes the values as written.
         """
         entries: list[Refinement] = []
         for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split("|")]
-            if len(parts) != 3:
-                raise ValueError(f"{source}:{lineno}: expected 'key | values | citation'")
-            pattern, values_spec, citation = parts
-            if not citation:
-                raise ValueError(f"{source}:{lineno}: a citation is mandatory")
             try:
-                values = _parse_values_spec(values_spec)
+                parts = [p.strip() for p in line.split("|")]
+                if len(parts) != 3:
+                    raise ValueError("expected 'key | values | citation'")
+                pattern, spec, citation = parts
+                # without a citation the values are not read: that fault is named first
+                values = _parse_values_spec(spec) if citation else None
+                entries.append(_checked(Refinement(pattern, values, citation), spec))
             except ValueError as exc:
                 raise ValueError(f"{source}:{lineno}: {exc}") from None
-            if values is None:
-                if pattern != PROJECTIVE_RULE_PATTERN:
-                    raise ValueError(
-                        f"{source}:{lineno}: the {PROJECTIVE_RULE_TOKEN} rule requires "
-                        f"pattern {PROJECTIVE_RULE_PATTERN}"
-                    )
-                entries.append(Refinement(pattern, None, citation))
-                continue
-            try:
-                space = parse(pattern)
-            except ValueError as exc:
-                raise ValueError(f"{source}:{lineno}: key {pattern!r}: {exc}") from None
-            bare = classify(space)
-            lower, upper = (bare.value, bare.value) if bare.kind == "Exact" else (bare.lower, bare.upper)
-            if not (lower <= values[0] and values[-1] <= upper):
-                raise ValueError(
-                    f"{source}:{lineno}: refinement {values_spec} for {space.render()} "
-                    f"contradicts the theorem bounds {lower}..{upper}"
-                )
-            entries.append(Refinement(space.render(), values, citation))
-        return cls(tuple(entries))
+        return cls._indexed(tuple(entries))
 
     @classmethod
     def load(cls, path: str) -> "RefinementTable":
@@ -190,11 +200,11 @@ class RefinementTable(_RefinementTableFields):
 
     @classmethod
     def resolve(cls, path: str | None = None) -> "RefinementTable":
-        """Explicit path beats the ATLAS_REFINEMENTS variable beats the
-        built-in table."""
+        """Explicit path, even '', beats the ATLAS_REFINEMENTS variable
+        (unless empty) beats the built-in table."""
         if path is None:
             path = os.environ.get(ENV_REFINEMENTS) or None
-        return cls.load(path) if path else cls.builtin()
+        return cls.builtin() if path is None else cls.load(path)
 
     def lookup(self, space: SpaceExpr) -> Refinement | None:
         entry = self.by_key.get(space.render())

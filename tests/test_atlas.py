@@ -333,15 +333,83 @@ def test_interval_record_holds_a_range_and_lookup_a_tuple():
 
 
 def test_wide_interval_loads_in_bounded_memory():
-    # a 10^6-wide interval costs no more than a narrow one
-    tracemalloc.start()
-    try:
-        table = RefinementTable.from_lines(["IV(1000000) | [1000001,2000001] | c; ."])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table.entries[0].values) == 1_000_001
-    assert peak < 1_000_000
+    # a 10^6-wide interval costs no more than a narrow one, read or built
+    for build in (
+        lambda: RefinementTable.from_lines(["IV(1000000) | [1000001,2000001] | c; ."]),
+        lambda: RefinementTable((Refinement("IV(1000000)", range(1000001, 2000002), "c; ."),)),
+    ):
+        tracemalloc.start()
+        try:
+            table = build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table.entries[0].values) == 1_000_001
+        assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        pytest.param(
+            Refinement("I(2,4)", (1000,), "x"),
+            "refinement (1000,) for I(2,4) contradicts the theorem bounds 5..9",
+            id="outside-bracket",
+        ),
+        pytest.param(Refinement("I(2,4)", (), "x"), "empty value set", id="empty-set"),
+        pytest.param(Refinement("I(2,4)", range(9, 8), "x"), "empty interval [9,7]", id="empty-interval"),
+        pytest.param(
+            Refinement("I(2,4)", range(5, 10, 2), "x"),
+            "an interval must have step 1, got range(5, 10, 2)",
+            id="stepped-range",
+        ),
+        pytest.param(
+            Refinement("IV(5)", None, "x"), "the n_plus_1 rule requires pattern I(1,*)", id="rule-elsewhere"
+        ),
+        pytest.param(Refinement("I(2,4)", (5,), ""), "a citation is mandatory", id="no-citation"),
+        pytest.param(
+            Refinement("I(0,4)", (5,), "x"),
+            "key 'I(0,4)': type I requires 1 <= k <= s-1 and s >= 2, got k=0, s=4",
+            id="bad-key",
+        ),
+    ],
+)
+def test_direct_construction_checks_each_record(table, record, message):
+    # the check that from_lines applies, without the source:line prefix
+    with pytest.raises(ValueError) as excinfo:
+        RefinementTable((table.entries[0], record))
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError) as excinfo:
+        table._replace(entries=(*table.entries, record))
+    assert str(excinfo.value) == message
+    with pytest.raises(ValueError):
+        RefinementTable._make([(record,), {}, None])
+
+
+def test_direct_construction_keeps_what_from_lines_keeps():
+    table = RefinementTable((Refinement("I(3,5)", (8, 7, 8), "c"),))
+    assert table.entries == (Refinement("I(2,5)", (7, 8), "c"),)
+    assert table == RefinementTable.from_lines(["I(3,5) | {8,7,8} | c"])
+    assert table.lookup(parse("I(2,5)")) == Refinement("I(2,5)", (7, 8), "c")
+    assert table.lookup(SpaceExpr((type_i(3, 5),))) == Refinement("I(2,5)", (7, 8), "c")
+
+
+def test_from_lines_classifies_each_record_once(monkeypatch):
+    calls = []
+    real = atlas.classify
+    monkeypatch.setattr(atlas, "classify", lambda space, *rest: calls.append(space) or real(space, *rest))
+    table = RefinementTable.from_lines(["I(1,*) | n_plus_1 | r", "I(2,4) | {5} | c", "IV(5) | [6,7] | c"])
+    assert [space.render() for space in calls] == ["I(2,4)", "IV(5)"]
+    table._replace(entries=table.entries)
+    assert len(calls) == 4
+
+
+def test_a_key_too_large_to_classify_is_named_with_its_line():
+    with pytest.raises(ValueError) as excinfo:
+        RefinementTable.from_lines(["# header", "CP(100000000000000000000) | {3} | c"], source="t.txt")
+    assert str(excinfo.value) == (
+        "t.txt:2: degree of I(1,100000000000000000001): too many factorial arguments"
+    )
 
 
 def test_resolve_precedence(tmp_path, monkeypatch):
@@ -356,6 +424,13 @@ def test_resolve_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("ATLAS_REFINEMENTS", str(env_file))
     assert RefinementTable.resolve().lookup(parse("I(2,4)")).citation == "env; ."
     assert RefinementTable.resolve(str(flag_file)).lookup(parse("I(2,4)")).citation == "flag; ."
+    # an empty path is a path, whatever the variable holds; an empty variable means unset
+    with pytest.raises(FileNotFoundError):
+        RefinementTable.resolve("")
+    monkeypatch.setenv("ATLAS_REFINEMENTS", "")
+    assert RefinementTable.resolve() == RefinementTable.builtin()
+    with pytest.raises(FileNotFoundError):
+        RefinementTable.resolve("")
 
 
 # --- threshold scans -------------------------------------------------------

@@ -235,6 +235,22 @@ def test_missing_refinement_file_is_a_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("env", [None, "", "table"])
+def test_an_empty_refinement_path_is_a_missing_file(capsys, tmp_path, monkeypatch, env):
+    # an empty --refinements is a path that cannot be read, whatever the
+    # variable holds; it neither loads the built-in table nor defers to the variable
+    if env is not None:
+        path = tmp_path / "env.txt"
+        path.write_text("I(2,4) | {7} | env-table; test\n", encoding="utf-8")
+        monkeypatch.setenv("ATLAS_REFINEMENTS", str(path) if env else "")
+    for command in (["compute", "I(2,4)"], ["table", "I:k=2", "3..5"]):
+        assert run(capsys, *command, "--refinements", "") == (
+            2,
+            "",
+            "error: [Errno 2] No such file or directory: ''\n",
+        )
+
+
 def test_contradicting_refinement_file_is_rejected(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("I(2,4) | {4} | c; .\n", encoding="utf-8")
