@@ -17,6 +17,7 @@ narrow a bracket, never contradict it, and never changes which clause fired.
 
 from __future__ import annotations
 
+import operator
 import os
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
@@ -70,11 +71,11 @@ class SBResult(NamedTuple):
 
     @staticmethod
     def exact(value: int) -> "SBResult":
-        return SBResult("Exact", value=value)
+        return SBResult("Exact", value)
 
     @staticmethod
     def bracket(lower: int, upper: int, refinement: Refinement | None = None) -> "SBResult":
-        return SBResult("Range", lower=lower, upper=upper, refinement=refinement)
+        return SBResult("Range", None, lower, upper, refinement)
 
 
 def _parse_values_spec(spec: str) -> tuple[int, ...] | range | None:
@@ -91,9 +92,11 @@ def _parse_values_spec(spec: str) -> tuple[int, ...] | range | None:
 
 
 def _checked(record: Refinement, written: str | None = None) -> Refinement:
-    """The record with its key canonical and a value set sorted and
-    deduplicated, or a ValueError naming its first fault; a contradiction
-    quotes ``written``, else the values given.  A ``range`` is never iterated."""
+    """The record with its key canonical and a value set of plain ints,
+    sorted and deduplicated, or a ValueError naming its first fault (a
+    value that is not an integer, a key that is not a string among them);
+    a contradiction quotes ``written``, else the values given.  A
+    ``range`` is never iterated."""
     pattern, values, citation = record
     if not citation:
         raise ValueError("a citation is mandatory")
@@ -106,8 +109,15 @@ def _checked(record: Refinement, written: str | None = None) -> Refinement:
             raise ValueError(f"an interval must have step 1, got {values!r}")
         if not values:
             raise ValueError(f"empty interval [{values.start},{values.stop - 1}]")
-    elif not (values := tuple(sorted(set(values)))):
-        raise ValueError("empty value set")
+    else:
+        try:
+            values = tuple(sorted(set(map(operator.index, values))))
+        except TypeError:
+            raise ValueError(f"refinement values must be integers, got {record.values!r}") from None
+        if not values:
+            raise ValueError("empty value set")
+    if not isinstance(pattern, str):
+        raise ValueError(f"key {pattern!r} is not a string")
     try:
         space = parse(pattern)
     except ValueError as exc:

@@ -22,11 +22,14 @@ and once inside ``atlas.classify``; a scan evaluates it once per row.
 Each family's degree is a ``FactorialRatio`` column of
 ``spaces.FAMILIES`` (2! for a quadric); a product multiplies the factor
 degrees and the multinomial, each ratio with its own exact division.
+A product evaluates each distinct factor's ratio once and raises it to
+the factor's multiplicity (``IV(7)^10`` is one evaluation of 2!, not
+ten), so a report's two degree evaluations cost one ratio per distinct
+factor each, plus the multinomial.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
@@ -54,12 +57,17 @@ def degree(space: SpaceExpr) -> int:
 
     For a single factor this is its ratio's value; for a product it is
     multinomial(n_1, ..., n_m) times the factor degrees, which is the
-    Segre-composition of the factor embeddings.
+    Segre-composition of the factor embeddings.  Each distinct factor's
+    ratio is evaluated once and raised to its multiplicity.
     """
-    ratios = [degree_ratio(f) for f in space.factors]
-    if len(ratios) > 1:
-        ratios.append(multinomial_ratio([f.dimension for f in space.factors]))
-    return math.prod(eval_ratio_direct(r) for r in ratios)
+    factors = space.factors
+    if len(factors) == 1:
+        return eval_ratio_direct(degree_ratio(factors[0]))
+    powers = [(degree_ratio(f), factors.count(f)) for f in dict.fromkeys(factors)]
+    value = eval_ratio_direct(multinomial_ratio([f.dimension for f in factors]))
+    for ratio, m in powers:
+        value *= eval_ratio_direct(ratio) ** m
+    return value
 
 
 def gromov_width_units(space: SpaceExpr) -> int:

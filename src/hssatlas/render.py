@@ -8,19 +8,23 @@ footnotes, from one frame (``_tabular``); the cells of a result kind
 are built once and shared by its formats, and every integer is
 written by ``digits``.  A report's volume, in units of pi^n/n!, is its
 degree, so it is printed from ``degree`` and ``n``.  A report's
-renderers convert each distinct integer once per call, through a
-``cache(digits)`` that dies with the call: an exact report prints its
-degree twice (as the degree and as the volume) and Gamma twice (gamma
-and S_B).  Each check diagnostic carries its probe's expected verdict
-and the CSV header is written here, so the oracle module is imported
-only for type checking; ``json`` and ``csv`` load only for the formats
-and commands a process runs.  All renderers are deterministic: the same
-value always produces the same bytes.
+renderers convert each distinct integer once per call, through a table
+(``_report_digits``) that dies with the call: an exact report prints
+its degree twice (as the degree and as the volume) and Gamma twice
+(gamma and S_B).  JSON comes from a small writer (``_json``) that
+emits exactly the bytes of ``json.dumps(obj, indent=2)`` for the dicts,
+lists, strings, booleans and None built here, quoting each string with
+the json module's own ASCII escaper, without the pure-Python encoder
+that ``indent`` selects; LaTeX escaping is one ``str.translate``.  Each
+check diagnostic carries its probe's expected verdict and the CSV
+header is written here, so the oracle module is imported only for type
+checking; ``json`` and ``csv`` load only for the formats and commands a
+process runs.  All renderers are deterministic: the same value always
+produces the same bytes.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .atlas import Report, SBResult, ScanResult
@@ -40,10 +44,11 @@ _LATEX_SPECIALS = {
     "^": r"\^{}",
     "~": r"\~{}",
 }
+_LATEX_TABLE = str.maketrans(_LATEX_SPECIALS)
 
 
 def latex_escape(text: str) -> str:
-    return "".join(_LATEX_SPECIALS.get(ch, ch) for ch in text)
+    return text.translate(_LATEX_TABLE)
 
 
 def digits(n: int) -> str:
@@ -58,10 +63,29 @@ def digits(n: int) -> str:
         return str(Decimal(n))
 
 
-def _json(obj: object) -> str:
-    import json
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
-    return json.dumps(obj, indent=2)
+
+def _json(obj: object) -> str:
+    """The bytes of ``json.dumps(obj, indent=2)`` for the dicts (of str
+    keys), lists, strings, booleans and None the renderers build."""
+    from json.encoder import encode_basestring_ascii as quote
+
+    def write(obj: object, indent: str) -> str:
+        if isinstance(obj, str):
+            return quote(obj)
+        if obj is None or obj is True or obj is False:
+            return _JSON_CONSTANTS[obj]
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            items = [f"{quote(key)}: {quote(v) if type(v) is str else write(v, inner)}" for key, v in obj.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+        if isinstance(obj, list):
+            items = [quote(v) if type(v) is str else write(v, inner) for v in obj]
+            return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+        raise TypeError(f"{type(obj).__name__} is not written as JSON")
+
+    return write(obj, "\n")
 
 
 def _csv(
@@ -147,8 +171,17 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
+def _report_digits(report: Report) -> Callable[[int], str]:
+    """The digits of each integer a report prints, each converted once."""
+    sb = report.sb
+    values = {report.n, report.two_n, report.rank, report.degree, report.gamma,
+              report.gromov_width_units, sb.value, sb.lower, sb.upper}
+    values.discard(None)
+    return dict(zip(values, map(digits, values))).__getitem__
+
+
 def render_report_json(report: Report) -> str:
-    text = cache(digits)
+    text = _report_digits(report)
     return _json({
         "space": report.space,
         "n": text(report.n),
@@ -166,7 +199,7 @@ def render_report_json(report: Report) -> str:
 
 def render_report_human(report: Report) -> str:
     sb = report.sb
-    text = cache(digits)
+    text = _report_digits(report)
     n = text(report.n)
     fields = [
         ("space", report.space),
@@ -206,12 +239,12 @@ def render_report_csv(report: Report) -> str:
         "case": report.case,
         "warnings": "; ".join(report.warnings),
     }
-    return _csv(columns, [columns.values()], text=cache(digits))
+    return _csv(columns, [columns.values()], text=_report_digits(report))
 
 
 def render_report_latex(report: Report) -> str:
     sb = report.sb
-    text = cache(digits)
+    text = _report_digits(report)
     if sb.kind == "Exact":
         sb_tex = f"$S_B = {text(sb.value)}$"
     elif sb.refinement is None:

@@ -24,10 +24,21 @@ exhaust the stack; both limits are checked before anything is expanded.
 Every ``SpaceExpr`` is in canonical form, because construction rewrites
 it; its rendering is the key format used by every report, table and
 refinement file.
+
+The parser is a recursive descent over a scanner: blanks, integers and
+kind words are each one compiled pattern matched at the current
+position, which also takes the blanks that follow, so parsing is linear
+in the length of the text (a run of 200,000 blanks is one match) and no
+step slices the text ahead of it.  A blank is exactly what
+``str.isspace`` accepts and a kind word is a run of ``str.isalpha``
+letters, as in the character-by-character parser it replaced, with the
+same messages and positions.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import takewhile
 from typing import Callable, Iterable, NamedTuple
 
 from .arith import FactorialRatio
@@ -151,7 +162,7 @@ class IrreducibleSpace(_IrreducibleFields):
         return FAMILIES[self.kind].rank(*self.params)
 
     def render(self) -> str:
-        return f"{self.kind}({','.join(str(p) for p in self.params)})"
+        return f"{self.kind}({','.join(map(str, self.params))})"
 
     def __str__(self) -> str:
         return self.render()
@@ -238,11 +249,12 @@ class SpaceExpr(_SpaceExprFields):
         for f in factors:
             if f.kind == "I":
                 k, s = f.params
-                rewritten.append(type_i(min(k, s - k), s))
+                rewritten.append(f if k <= s - k else type_i(s - k, s))
             else:
                 rewritten.extend(_REWRITES.get(f, (f,)))
-        kinds = list(FAMILIES)
-        rewritten.sort(key=lambda f: (kinds.index(f.kind), f.params))
+        if len(rewritten) > 1:
+            kinds = list(FAMILIES)  # read on every build: a family may be added at run time
+            rewritten.sort(key=lambda f: (kinds.index(f.kind), f.params))
         return super().__new__(cls, tuple(rewritten))
 
     @classmethod
@@ -251,15 +263,15 @@ class SpaceExpr(_SpaceExprFields):
 
     @property
     def dimension(self) -> int:
-        return sum(f.dimension for f in self.factors)
+        return sum([f.dimension for f in self.factors])
 
     @property
     def rank(self) -> int:
-        return sum(f.rank for f in self.factors)
+        return sum([f.rank for f in self.factors])
 
     def render(self) -> str:
         """Canonical key format, e.g. ``I(1,2) x I(2,4)``."""
-        return " x ".join(f.render() for f in self.factors)
+        return " x ".join([f.render() for f in self.factors])
 
     def __str__(self) -> str:
         return self.render()
@@ -287,38 +299,41 @@ def read_int(text: str) -> int:
         raise ValueError(f"integer too long ({len(unsigned)} digits)") from None
 
 
+# Each takes the blanks after what it reads.  \s is exactly str.isspace;
+# the word class holds every letter and also the other scripts' numerals,
+# which isalpha refuses, so a kind word is the run of letters it starts with.
+_BLANKS = re.compile(r"\s*").match
+_INTEGER = re.compile(r"(-?[0-9]*)\s*").match
+_WORD = re.compile(r"([^\W\d_]*)\s*").match
+
+
 class _Parser:
+    """Recursive descent in which every step leaves ``pos`` past the
+    blanks that follow what it consumed."""
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.pos = _BLANKS(text).end()
         self.depth = 0
 
     def error(self, message: str, position: int | None = None) -> SpaceSyntaxError:
         return SpaceSyntaxError(message, self.pos if position is None else position)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
 
     def eat(self, ch: str) -> None:
-        if self.peek() != ch:
-            got = repr(self.peek()) if self.peek() else "end of input"
-            raise self.error(f"expected {ch!r}, got {got}")
-        self.pos += 1
+        if not self.text.startswith(ch, self.pos):
+            got = self.peek()
+            raise self.error(f"expected {ch!r}, got {repr(got) if got else 'end of input'}")
+        self.pos = _BLANKS(self.text, self.pos + 1).end()
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while "0" <= self.peek() <= "9":
-            self.pos += 1
-        text = self.text[start : self.pos]
+        match = _INTEGER(self.text, self.pos)
+        text = match[1]
         if not text or text == "-":
-            raise self.error("expected an integer", start)
+            raise self.error("expected an integer")
+        start, self.pos = self.pos, match.end()
         try:
             return read_int(text)
         except ValueError as exc:  # more digits than the interpreter converts
@@ -326,20 +341,16 @@ class _Parser:
 
     def expr(self) -> list[IrreducibleSpace]:
         factors = self.term()
-        while True:
-            self.skip_ws()
-            if self.peek() in ("x", "*"):
-                self.pos += 1
-                factors.extend(self.term())
-                _check_factor_count(len(factors))
-            else:
-                return factors
+        while self.text.startswith(("x", "*"), self.pos):
+            self.eat(self.text[self.pos])
+            factors.extend(self.term())
+            _check_factor_count(len(factors))
+        return factors
 
     def term(self) -> list[IrreducibleSpace]:
         factors = self.atom()
-        self.skip_ws()
-        if self.peek() == "^":
-            self.pos += 1
+        if self.text.startswith("^", self.pos):
+            self.eat("^")
             count = self.integer()
             if not 1 <= count <= _MAX_EXPONENT:
                 raise InvalidParams(
@@ -350,38 +361,37 @@ class _Parser:
         return factors
 
     def atom(self) -> list[IrreducibleSpace]:
-        self.skip_ws()
-        if self.peek() == "(":
+        if self.text.startswith("(", self.pos):
             if self.depth == _MAX_NESTING:
                 raise self.error(f"parentheses nest deeper than {_MAX_NESTING}")
-            self.pos += 1
+            self.eat("(")
             self.depth += 1
             inner = self.expr()
-            self.skip_ws()
             self.eat(")")
             self.depth -= 1
             return inner
         start = self.pos
-        while self.peek().isalpha():
-            self.pos += 1
-        word = self.text[start : self.pos]
+        match = _WORD(self.text, start)
+        word = match[1]
+        if word.isalpha():
+            self.pos = match.end()
+        else:  # empty, or cut short by a numeral
+            word = "".join(takewhile(str.isalpha, word))
+            self.pos += len(word)
         family = FAMILIES.get(word)
         if family is None and word != "CP":
             got = repr(word) if word else (repr(self.peek()) if self.peek() else "end of input")
             atoms = "/".join([*FAMILIES, "CP"])
             raise self.error(f"expected a space atom ({atoms} or parenthesis), got {got}", start)
-        self.skip_ws()
         self.eat("(")
         if family is None:
             factor = projective_space(self.integer())
         else:
             params = [self.integer()]
             while len(params) < family.arity:
-                self.skip_ws()
                 self.eat(",")
                 params.append(self.integer())
             factor = IrreducibleSpace(word, tuple(params))
-        self.skip_ws()
         self.eat(")")
         return [factor]
 
@@ -394,11 +404,9 @@ def parse(text: str) -> SpaceExpr:
     input.
     """
     parser = _Parser(text)
-    parser.skip_ws()
     if parser.pos == len(text):
         raise EmptyProduct("empty expression")
     factors = parser.expr()
-    parser.skip_ws()
     if parser.pos != len(text):
         raise parser.error(f"unexpected {text[parser.pos]!r}")
     return SpaceExpr(tuple(factors))

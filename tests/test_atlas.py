@@ -372,6 +372,15 @@ def test_wide_interval_loads_in_bounded_memory():
             "key 'I(0,4)': type I requires 1 <= k <= s-1 and s >= 2, got k=0, s=4",
             id="bad-key",
         ),
+        pytest.param(
+            Refinement("I(2,4)", (5.5,), "x"), "refinement values must be integers, got (5.5,)", id="float-value"
+        ),
+        pytest.param(
+            Refinement("I(2,4)", (6, "5"), "x"), "refinement values must be integers, got (6, '5')", id="str-value"
+        ),
+        pytest.param(Refinement("I(2,4)", 5, "x"), "refinement values must be integers, got 5", id="bare-int"),
+        pytest.param(Refinement(None, (5,), "x"), "key None is not a string", id="key-none"),
+        pytest.param(Refinement(b"I(2,4)", (5,), "x"), "key b'I(2,4)' is not a string", id="key-bytes"),
     ],
 )
 def test_direct_construction_checks_each_record(table, record, message):
@@ -488,7 +497,8 @@ def test_scan_evaluates_each_degree_once(monkeypatch, table, family, start, stop
     scan = threshold_scan(family, start, stop, k=k, table=table)
     atoms = [IrreducibleSpace(family, (s,) if k is None else (k, s)) for s in range(start, stop + 1)]
     spaces = [SpaceExpr((atom,)) for atom in atoms]
-    assert calls == [f for space in spaces for f in space.factors]  # one evaluation per row
+    # one evaluation per row, and within a row one per distinct factor (IV(2) is I(1,2) twice)
+    assert calls == [f for space in spaces for f in dict.fromkeys(space.factors)]
     assert [row.degree for row in scan.rows] == [degree(space) for space in spaces]
 
 

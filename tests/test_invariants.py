@@ -17,7 +17,7 @@ from hssatlas.atlas import report
 from hssatlas.render import render_report_human
 from hssatlas.spaces import InvalidParams, SpaceExpr, parse, type_i, type_ii, type_iii, type_iv
 
-from test_spaces import space_exprs
+from test_spaces import irreducible_spaces, space_exprs
 
 # Degrees frozen from independent derivations: tableau enumeration for
 # type I, direct factorial-ratio evaluation for types II/III, and the
@@ -80,6 +80,17 @@ def test_degree_is_the_product_of_its_ratios_by_prime_exponents(text):
     if len(ratios) > 1:
         ratios.append(multinomial_ratio([f.dimension for f in space.factors]))
     assert degree(space) == math.prod(eval_ratio_legendre(r) for r in ratios)
+
+
+@given(st.lists(st.tuples(irreducible_spaces(), st.integers(1, 4)), min_size=1, max_size=4))
+def test_degree_of_a_product_with_repeated_factors_by_prime_exponents(powers):
+    # degree() evaluates each distinct factor once and raises it to its
+    # multiplicity; here every factor is evaluated, by the other evaluator
+    space = SpaceExpr(tuple(f for atom, m in powers for f in [atom] * m))
+    expected = math.prod(eval_ratio_legendre(degree_ratio(f)) for f in space.factors)
+    if len(space.factors) > 1:
+        expected *= eval_ratio_legendre(multinomial_ratio([f.dimension for f in space.factors]))
+    assert degree(space) == expected
 
 
 def test_multinomial_ratio_shape():

@@ -9,10 +9,13 @@ warning, two products (one of quadrics), a quadric scan and both scan
 footnotes.  A golden changes only with an intended, stated byte change.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hssatlas import render
 from hssatlas.atlas import CLAUSE_EXACT, CLAUSE_RANGE, RefinementTable, report, threshold_scan
@@ -142,3 +145,33 @@ def test_a_report_render_converts_each_distinct_integer_once(monkeypatch, fmt):
         assert getattr(render, f"render_report_{fmt}")(rep) == expected
     assert converted.count(rep.degree) == 2 and converted.count(rep.gamma) == 2
     assert len(converted) == 2 * len(set(converted))
+
+
+# --- the JSON writer and the LaTeX escape -----------------------------------
+
+# Text with every class of character json.dumps escapes: quotes,
+# backslashes, control characters, non-ASCII and astral code points.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€𝟙'), st.characters()))
+JSON_VALUES = st.recursive(
+    st.one_of(TEXT, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+@example({"a": [], "b": {}, "c": [[{}]], "": None, "t": True, "f": False})
+def test_json_writer_matches_json_dumps_with_indent_2(obj):
+    assert render._json(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_writer_refuses_what_the_renderers_never_build():
+    for value in (1, 1.5, (), {1: "x"}):
+        with pytest.raises(TypeError):
+            render._json({"k": value} if not isinstance(value, dict) else value)
+
+
+@given(st.text(st.one_of(st.sampled_from("&%#$_{}^~\\"), st.characters())))
+@example("&%#$_{}^~ a\\b")
+def test_latex_escape_maps_each_special_character(text):
+    assert render.latex_escape(text) == "".join(render._LATEX_SPECIALS.get(ch, ch) for ch in text)
