@@ -34,12 +34,23 @@ that product is the exactness check, as strong as a zero remainder.
 The prime-exponent evaluator, ``eval_ratio_legendre``, shares none of
 this.  It first cancels the arguments the two sides have in common (a
 Hua ratio of ``I(k,s)`` lists about 2s of them, and about 2k+1 are
-left), then sums Legendre's exponents of each prime up to the largest
-argument left, and multiplies the resulting prime powers pairwise.
+left), then sieves the primes up to the largest argument left, over
+the odd numbers only, and multiplies the resulting prime powers
+pairwise.  The exponent of each prime comes from Legendre's formula in
+three parts.  The small arguments, those no larger than the number of
+primes sieved, are summed all at once through the identity
+sum_m c_m * floor(m / q) = sum_{j >= 1} S(jq), where S(x) is the sum
+of the counts c_m of the small arguments m >= x; S is built once and is
+never longer than the list of primes.  The largest argument and the
+other large ones keep one Legendre sum each.  A prime p above the
+second-largest argument and the square root of the largest, top,
+divides only top!, floor(top / p) times; the primes with the same
+quotient are consecutive, and each run of them is taken in one step.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import NamedTuple
@@ -155,14 +166,19 @@ def eval_ratio_direct(ratio: FactorialRatio) -> int:
 
 
 def _primes_upto(limit: int) -> list[int]:
+    """The primes up to limit, by a sieve over the odd numbers alone:
+    byte i stands for 2i + 1, and 2 is put in front."""
     if limit < 2:
         return []
-    sieve = bytearray((1,)) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return list(itertools.compress(range(limit + 1), sieve))
+    size = (limit + 1) // 2
+    sieve = bytearray((1,)) * size
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # the odd multiples of p from p^2 on, p bytes apart
+            sieve[start::p] = bytes((size - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
 def _multiply_pairwise(factors: list[int]) -> int:
@@ -186,14 +202,27 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
     denominator occurrence, and the arguments whose count is 0, as well
     as 0 and 1 (0! = 1! = 1), are dropped.  A negative argument raises
     ``ValueError``, as ``math.factorial`` does, even where it would
-    cancel.  Primes are sieved only up to the largest argument left, so
-    a ratio that cancels entirely returns 1 without a sieve.  The
-    exponent of p in m! is Legendre's sum of floor(m / p^i), and the
-    scan for p stops at the first remaining argument below p, whose
-    factorial p does not divide.  Primes sharing a net exponent e are
-    multiplied together and raised to e once, and these powers are
-    multiplied pairwise, so that the large multiplications have
-    operands of similar size.
+    cancel.  Primes are sieved, over the odd numbers only, up to the
+    largest argument left, so a ratio that cancels entirely returns 1
+    without a sieve.
+
+    The exponent of p in m! is Legendre's sum of floor(m / q) over the
+    prime powers q = p^i.  The arguments other than the largest that
+    are no larger than the number of primes sieved are dense: over
+    them the suffix count S(x), the sum of the counts of the dense
+    arguments m >= x, gives sum_m count_m * floor(m / q) as
+    S(q) + S(2q) + S(3q) + ..., one slice sum per prime power.  S is
+    never longer than the list of primes.  The largest argument and
+    the others above that bound each keep one Legendre sum per prime,
+    up to the first argument below p, whose factorial p does not
+    divide.  A prime above both the second-largest argument and the
+    square root of the largest argument, top, divides only top!, and
+    exactly floor(top / p) times; such primes with equal quotients are
+    consecutive, so each run of them is found by bisection and takes
+    its exponent at once, in ascending order of the primes.  Primes
+    sharing a net exponent e are multiplied together and raised to e
+    once, and these powers are multiplied pairwise, so that the large
+    multiplications have operands of similar size.
     """
     counts: dict[int, int] = {}
     for m in ratio.numerator_factorials:
@@ -203,10 +232,28 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
     if counts and min(counts) < 0:
         raise ValueError("factorial() not defined for negative values")
     terms = sorted(((m, count) for m, count in counts.items() if count and m > 1), reverse=True)
+    if not terms:
+        return 1
+    top, top_count = terms[0]
+    primes = _primes_upto(top)
+    # the largest argument is always above len(primes), so the arguments
+    # walked one Legendre sum each are a prefix of terms, the dense the rest
+    split = sum(m > len(primes) for m, _ in terms)
+    walked, dense = terms[:split], terms[split:]
+    suffix = [0] * (dense[0][0] + 1 if dense else 1)
+    for m, count in dense:
+        suffix[m] = count
+    suffix = list(itertools.accumulate(reversed(suffix)))[::-1]
+    last = len(suffix) - 1
+    # primes[:i] are at most the second-largest argument or sqrt(top)
+    i = bisect.bisect_right(primes, max(terms[1][0] if len(terms) > 1 else 0, math.isqrt(top)))
     by_exponent: dict[int, list[int]] = {}
-    for p in _primes_upto(terms[0][0] if terms else 0):
-        net = 0
-        for m, count in terms:
+    for p in primes[:i]:
+        net, q = 0, p
+        while q <= last:
+            net += sum(suffix[q::q])
+            q *= p
+        for m, count in walked:
             if m < p:
                 break
             exponent, q = 0, m // p
@@ -218,4 +265,13 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
             raise NonIntegralRatio(f"{ratio} is not an integer (prime {p} left over)")
         if net:
             by_exponent.setdefault(net, []).append(p)
-    return _multiply_pairwise([math.prod(primes) ** net for net, primes in by_exponent.items()])
+    while i < len(primes):
+        p = primes[i]
+        quotient = top // p
+        end = bisect.bisect_right(primes, top // quotient, i)
+        net = top_count * quotient
+        if net < 0:
+            raise NonIntegralRatio(f"{ratio} is not an integer (prime {p} left over)")
+        by_exponent.setdefault(net, []).extend(primes[i:end])
+        i = end
+    return _multiply_pairwise([math.prod(group) ** net for net, group in by_exponent.items()])

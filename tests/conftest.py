@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from hssatlas.oracle import RectShape, count_syt_bruteforce
+
+# ``--hypothesis-profile=ci`` reruns a module's property tests with ten
+# times the default examples; a test that sets its own ``max_examples``
+# keeps it.  No deadline: the rerun is for breadth, and a shared runner's
+# timing varies.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

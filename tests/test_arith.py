@@ -1,5 +1,7 @@
+import bisect
 import math
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,7 @@ from hssatlas.arith import (
     exact_quotient,
 )
 from hssatlas.invariants import degree_ratio, multinomial_ratio
-from hssatlas.spaces import parse, type_i, type_ii, type_iii
+from hssatlas.spaces import IrreducibleSpace, parse, type_i, type_ii, type_iii
 
 
 def test_factorial_agrees_with_prime_exponent_reconstruction():
@@ -144,6 +146,114 @@ def test_both_evaluators_agree_on_large_arguments(num, den):
     assert eval_ratio_legendre(ratio) == direct
 
 
+# --- the prime-exponent evaluator -------------------------------------------
+
+# primes by trial division, a reference that shares nothing with the sieve
+TRIAL_PRIMES = [n for n in range(2, 5001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+
+
+def _legendre(m: int, p: int) -> int:
+    exponent = 0
+    while m:
+        m //= p
+        exponent += m
+    return exponent
+
+
+def _smallest_negative_prime(num: tuple[int, ...], den: tuple[int, ...]) -> int | None:
+    """The smallest prime whose exponent in the numerator's factorials
+    is below its exponent in the denominator's, each argument summed on
+    its own with nothing cancelled; None for an integral ratio."""
+    top = max(num + den, default=0)
+    for p in TRIAL_PRIMES[: bisect.bisect_right(TRIAL_PRIMES, top)]:
+        if sum(_legendre(m, p) for m in num) < sum(_legendre(m, p) for m in den):
+            return p
+    return None
+
+
+@st.composite
+def mixed_ratios(draw):
+    """Dense arguments 0..60, a few sparse ones up to 5,000 (some just
+    below the largest), and the largest on either side, so that the first
+    negative prime falls among the suffix-count slices, the per-argument
+    Legendre sums or the blocks of large primes."""
+    top = draw(st.integers(min_value=2, max_value=5000), label="top")
+    near_top = st.integers(min_value=1, max_value=30).map(lambda d: max(top - d, 0))
+    sides = []
+    for _ in range(2):
+        dense = draw(st.lists(st.integers(min_value=0, max_value=60), max_size=6))
+        sparse = draw(st.lists(st.one_of(st.integers(min_value=61, max_value=5000), near_top), max_size=2))
+        sides.append(dense + sparse)
+    sides[draw(st.booleans(), label="top in denominator")].append(top)
+    return FactorialRatio(*map(tuple, sides))
+
+
+@given(ratio=mixed_ratios())
+@example(ratio=FactorialRatio((997,), (60,) * 17))  # 59, among the slices
+@example(ratio=FactorialRatio((5000,), (2503, 2503)))  # 3, from the per-argument sums
+@example(ratio=FactorialRatio((2000, 2000), (2003,)))  # 2003, a large-prime block
+@example(ratio=FactorialRatio((4000, 4000), (4001, 4001)))  # 4001, a block of exponent -2
+def test_non_integral_ratio_names_the_smallest_negative_prime(ratio):
+    prime = _smallest_negative_prime(*ratio)
+    if prime is None:
+        assert eval_ratio_legendre(ratio) == eval_ratio_direct(ratio)
+        return
+    message = f"{ratio} is not an integer (prime {prime} left over)"
+    with pytest.raises(NonIntegralRatio, match=f"^{re.escape(message)}$"):
+        eval_ratio_legendre(ratio)
+
+
+# the multinomials that ``check`` sweeps
+CHECK_MULTINOMIALS = ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))
+
+
+def test_legendre_never_forms_a_factorial(monkeypatch):
+    """Every family ratio with s <= 60 and the multinomials of ``check``,
+    evaluated with ``math.factorial``, the product tree and the exact
+    division all made to raise, against values the direct evaluator
+    computed beforehand."""
+    ratios = [degree_ratio(type_i(k, s)) for s in range(2, 61) for k in range(1, s)]
+    ratios += [degree_ratio(type_ii(s)) for s in range(2, 61)]
+    ratios += [degree_ratio(type_iii(s)) for s in range(1, 61)]
+    ratios += [degree_ratio(IrreducibleSpace("IV", (s,))) for s in range(3, 61)]
+    ratios += [multinomial_ratio(dims) for dims in CHECK_MULTINOMIALS]
+    expected = [eval_ratio_direct(r) for r in ratios]
+
+    def refuse(*args):
+        raise AssertionError("formed a factorial or divided")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    monkeypatch.setattr(arith, "_product_tree", refuse)
+    monkeypatch.setattr(arith, "exact_quotient", refuse)
+    with pytest.raises(AssertionError, match="formed a factorial"):
+        eval_ratio_direct(ratios[0])  # the patches reach what the direct path calls
+    assert [eval_ratio_legendre(r) for r in ratios] == expected
+
+
+def test_sparse_ratio_needs_no_table_of_its_arguments():
+    """Two arguments, 200,000 and 199,999, both above the number of
+    primes sieved: no suffix count is built across them."""
+    ratio = FactorialRatio((200_000,), (199_999,))
+    tracemalloc.start()
+    try:
+        value = eval_ratio_legendre(ratio)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 200_000
+    assert peak < 1_500_000
+
+
+def test_large_multinomial_matches_the_direct_value():
+    ratio = multinomial_ratio((3000, 2000, 1000))
+    assert eval_ratio_legendre(ratio) == eval_ratio_direct(ratio)
+
+
+def test_sieve_matches_trial_division():
+    for n in range(2000):
+        assert arith._primes_upto(n) == TRIAL_PRIMES[: bisect.bisect_right(TRIAL_PRIMES, n)], n
+
+
 # --- product trees -----------------------------------------------------------
 
 # 9 to 150 arguments under a per-example bound of 0..400, so that a
@@ -189,7 +299,7 @@ def test_product_tree_cutoff_does_not_change_a_value(monkeypatch):
     ratios = [degree_ratio(type_i(k, s)) for s in range(2, 81) for k in range(1, s)]
     ratios += [degree_ratio(type_ii(s)) for s in range(2, 81)]
     ratios += [degree_ratio(type_iii(s)) for s in range(1, 81)]
-    ratios += [multinomial_ratio(dims) for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))]
+    ratios += [multinomial_ratio(dims) for dims in CHECK_MULTINOMIALS]
     # one-argument sides above the cutoff
     ratios += [multinomial_ratio([900] * 8), FactorialRatio((3000,), (2999,))]
     assert sum(sum(r.numerator_factorials) >= PRODUCT_TREE_MIN_SUM for r in ratios) >= 100
