@@ -13,6 +13,12 @@ Gamma comes from the embedding degree and the Gromov width through
 A refinement table overlays sharper literature values onto clause (ii)
 brackets.  Every construction checks each record, so a table can only
 narrow a bracket, never contradict it, and never changes which clause fired.
+
+What a report or a scan says of a family comes from its row of
+``spaces.FAMILIES``: a report cites ``citation`` and warns of a factor
+whose s is at most ``small_upto``; a scan starts at ``least`` and ends
+its footnotes with ``scan_note``.  The only family named here is type
+I, whose scans fix k.  The clause that fired is ``SBResult.clause``.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .invariants import degree, gamma_from_degree, gromov_width_units
 from .spaces import (
-    COINCIDENCES, FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, pair_label, parse, read_int,
+    COINCIDENCES, FAMILIES, InvalidParams, IrreducibleSpace, SpaceExpr, is_single_projective, pair_label, parse,
+    read_int,
 )
 
 CLAUSE_EXACT = "Thm1(i)"
@@ -132,10 +139,6 @@ def _checked(record: Refinement, written: str | None = None) -> Refinement:
     return Refinement(space.render(), values, citation)
 
 
-def _is_single_projective(space: SpaceExpr) -> bool:
-    return len(space.factors) == 1 and space.factors[0].kind == "I" and space.factors[0].params[0] == 1
-
-
 class _RefinementTableFields(NamedTuple):
     entries: tuple[Refinement, ...]
     by_key: Mapping[str, Refinement]
@@ -220,7 +223,7 @@ class RefinementTable(_RefinementTableFields):
         entry = self.by_key.get(space.render())
         if entry is not None:
             return Refinement(entry.pattern, tuple(entry.values), entry.citation)
-        if self.rule is not None and _is_single_projective(space):
+        if self.rule is not None and is_single_projective(space):
             return Refinement(self.rule.pattern, (space.dimension + 1,), self.rule.citation)
         return None
 
@@ -249,14 +252,6 @@ class Report(NamedTuple):
     warnings: tuple[str, ...]
     citations: tuple[str, ...]
 
-    @property
-    def case(self) -> str:
-        return self.sb.clause
-
-    @property
-    def two_n(self) -> int:
-        return 2 * self.n
-
 
 _PRODUCT_CITATION = (
     "degree(product) = multinomial(n_1,...,n_m) * prod(factor degrees): "
@@ -272,18 +267,16 @@ _CLAUSE_CITATIONS = {
     "Rudyak-Schlenk minimal-atlas theorem, clause (ii)",
 }
 
-# The type II form below s=6 and the type III form below s=5 are outside
-# the range the classification uses them in; one whose coincidence `check`
-# expects to mismatch names that pair.
-_SMALL_PARAM_LIMIT = {"II": 5, "III": 4}
+# A small-parameter factor whose coincidence `check` expects to mismatch
+# names that pair in its warning.
 _MISMATCH_LABELS = {row.spelling: pair_label(*row.pair) for row in COINCIDENCES if row.verdict == "Mismatch"}
 
 
 def _warnings_for(space: SpaceExpr) -> tuple[str, ...]:
     notes: list[str] = []
     for f in space.factors:
-        limit = _SMALL_PARAM_LIMIT.get(f.kind)
-        if limit is None or f.params[0] > limit:
+        limit = FAMILIES[f.kind].small_upto
+        if limit is None or f.params[-1] > limit:
             continue
         see = "see the isomorphism diagnostics"
         if f in _MISMATCH_LABELS:
@@ -326,10 +319,6 @@ class ScanRow(NamedTuple):
     degree: int
     sb: SBResult
 
-    @property
-    def clause(self) -> str:
-        return self.sb.clause
-
 
 class ScanResult(NamedTuple):
     family: str
@@ -337,12 +326,6 @@ class ScanResult(NamedTuple):
     first_exact: int | None
     footnotes: tuple[str, ...]
 
-
-_TYPE_III_FOOTNOTE = (
-    "type III threshold: published statements disagree (s >= 5 vs s >= 6); "
-    "the exact degrees give the first clause-(i) case at s = 5, since "
-    "degree(III(4)) = 12 < 2n = 20 while degree(III(5)) = 286 >= 2n = 30"
-)
 
 # A scan keeps every row and prints them all, so its length is bounded
 # before the first row is computed; a mistyped range then fails at once
@@ -361,13 +344,21 @@ def threshold_scan(
 
     ``first_exact`` is the least parameter from which the exact clause
     fires and keeps firing through the end of the range (None if the
-    final row is still a bracket).  An unknown family, a missing or
-    non-positive k for I or a k for any other family, a range that
+    final row is still a bracket).  The family's ``FAMILIES`` row gives
+    the least parameter and, as a last footnote, its ``scan_note``.  An
+    unknown family, a start, stop or k that is not an integer, a missing
+    or non-positive k for I or a k for any other family, a range that
     starts below the family's least parameter or one of more than
     ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
     """
-    if family not in FAMILIES:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise InvalidParams(f"unknown family {family!r} (expected one of {', '.join(FAMILIES)})")
+    try:
+        start, stop = operator.index(start), operator.index(stop)
+        k = None if k is None else operator.index(k)
+    except TypeError:
+        raise InvalidParams(f"a scan takes integers, got {start!r}..{stop!r} and k={k!r}") from None
     if family == "I":
         if k is None:
             raise InvalidParams("family I needs a fixed k (write the family as 'I:k=2')")
@@ -380,7 +371,7 @@ def threshold_scan(
         label = family
     if start > stop:
         raise InvalidParams(f"empty range {start}..{stop}")
-    least = k + 1 if family == "I" else FAMILIES[family].least
+    least = k + 1 if family == "I" else spec.least
     if start < least:
         raise InvalidParams(
             f"range {start}..{stop} starts below {least}, the first valid parameter of {label}"
@@ -399,7 +390,7 @@ def threshold_scan(
 
     first_exact = None
     for row in reversed(rows):
-        if row.clause != CLAUSE_EXACT:
+        if row.sb.clause != CLAUSE_EXACT:
             break
         first_exact = row.param
 
@@ -411,6 +402,6 @@ def threshold_scan(
             f"first exact classification ({CLAUSE_EXACT}) at parameter {first_exact}; "
             f"it keeps firing through {stop}"
         )
-    if family == "III":
-        footnotes.append(_TYPE_III_FOOTNOTE)
+    if spec.scan_note is not None:
+        footnotes.append(spec.scan_note)
     return ScanResult(family=label, rows=tuple(rows), first_exact=first_exact, footnotes=tuple(footnotes))

@@ -20,9 +20,10 @@ the isomorphism probes; any verdict but ``expected`` is unexpected.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, NamedTuple
 
-from .arith import eval_ratio_direct, eval_ratio_legendre
+from .arith import NonIntegralRatio, eval_ratio_direct, eval_ratio_legendre
 from .invariants import degree_ratio, multinomial_ratio
 from .spaces import COINCIDENCES, type_i, type_ii, type_iii
 
@@ -39,12 +40,17 @@ class _RectShapeFields(NamedTuple):
 
 
 class RectShape(_RectShapeFields):
-    """A rows x cols rectangle; sides below 1 raise ``ValueError`` when
-    it is built."""
+    """A rows x cols rectangle of plain int sides (each passes through
+    ``operator.index``); a side that is not an integer, or is below 1,
+    raises ``ValueError`` when it is built."""
 
     __slots__ = ()
 
     def __new__(cls, rows: int, cols: int) -> RectShape:
+        try:
+            rows, cols = operator.index(rows), operator.index(cols)
+        except TypeError:
+            raise ValueError(f"shape sides must be integers, got rows={rows!r}, cols={cols!r}") from None
         if rows < 1 or cols < 1:
             raise ValueError(f"shape sides must be positive, got {rows}x{cols}")
         return super().__new__(cls, rows, cols)
@@ -123,12 +129,14 @@ def count_syt_hook(shape: RectShape) -> int:
     rectangle is (r-i) + (c-j) - 1, so the hooks run over 1..r+c-1 and
     the length h occurs on min(h, r, c, r+c-h) cells (one antidiagonal
     of the rectangle).  The product is formed by those multiplicities
-    instead of cell by cell.  The division is always exact.
+    instead of cell by cell.  The division is always exact; a remainder
+    would be a transcription fault and raises ``NonIntegralRatio``.
     """
     r, c = shape.rows, shape.cols
     hooks = math.prod(h ** min(h, r, c, r + c - h) for h in range(1, r + c))
     count, remainder = divmod(math.factorial(shape.cells), hooks)
-    assert remainder == 0, "hook products always divide the factorial"
+    if remainder:
+        raise NonIntegralRatio(f"{shape.cells}! is not a multiple of the hook product of {r}x{c}")
     return count
 
 

@@ -174,7 +174,7 @@ def sb_cell(sb: SBResult) -> str:
 def _report_digits(report: Report) -> Callable[[int], str]:
     """The digits of each integer a report prints, each converted once."""
     sb = report.sb
-    values = {report.n, report.two_n, report.rank, report.degree, report.gamma,
+    values = {report.n, 2 * report.n, report.rank, report.degree, report.gamma,
               report.gromov_width_units, sb.value, sb.lower, sb.upper}
     values.discard(None)
     return dict(zip(values, map(digits, values))).__getitem__
@@ -191,7 +191,7 @@ def render_report_json(report: Report) -> str:
         "volume": {"units": text(report.degree), "dim": text(report.n)},
         "gromov_width_units": text(report.gromov_width_units),
         "sb": sb_to_obj(report.sb, text),
-        "case": report.case,
+        "case": report.sb.clause,
         "warnings": list(report.warnings),
         "citations": list(report.citations),
     })
@@ -203,13 +203,13 @@ def render_report_human(report: Report) -> str:
     n = text(report.n)
     fields = [
         ("space", report.space),
-        ("complex dim", f"n = {n}   (2n = {text(report.two_n)})"),
+        ("complex dim", f"n = {n}   (2n = {text(2 * report.n)})"),
         ("rank", text(report.rank)),
         ("degree", text(report.degree)),
         ("gamma", text(report.gamma)),
         ("volume", f"{text(report.degree)}·π^{n}/{n}!"),
         ("Gromov width", f"{text(report.gromov_width_units)}·π"),
-        ("clause", report.case),
+        ("clause", report.sb.clause),
     ]
     if sb.kind == "Range":
         fields.append(("bounds", f"max(n+1, deg+1) = {text(sb.lower)} <= S_B <= {text(sb.upper)} = 2n+1"))
@@ -236,7 +236,7 @@ def render_report_csv(report: Report) -> str:
         "sb_lower": sb.lower,
         "sb_upper": sb.upper,
         "sb_refined": None if sb.refinement is None else _braced(sb.refinement.values),
-        "case": report.case,
+        "case": report.sb.clause,
         "warnings": "; ".join(report.warnings),
     }
     return _csv(columns, [columns.values()], text=_report_digits(report))
@@ -261,7 +261,7 @@ def render_report_latex(report: Report) -> str:
         ("$\\Gamma$", text(report.gamma)),
         ("volume", f"${degree}\\,\\pi^{{{n}}}/{n}!$"),
         ("Gromov width", "$\\pi$"),
-        ("clause", latex_escape(report.case)),
+        ("clause", latex_escape(report.sb.clause)),
         ("$S_B$", sb_tex),
     ]
     return _tabular("ll", rows, notes=report.warnings, note_label="warning")
@@ -279,7 +279,7 @@ def render_scan_json(scan: ScanResult) -> str:
                 "n": digits(row.n),
                 "degree": digits(row.degree),
                 "sb": sb_to_obj(row.sb),
-                "clause": row.clause,
+                "clause": row.sb.clause,
             }
             for row in scan.rows
         ],
@@ -291,7 +291,7 @@ def render_scan_json(scan: ScanResult) -> str:
 def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
     """One row of text cells per scan row: param, n, degree, S_B, clause."""
     return [
-        (digits(row.param), digits(row.n), digits(row.degree), sb_cell(row.sb), row.clause)
+        (digits(row.param), digits(row.n), digits(row.degree), sb_cell(row.sb), row.sb.clause)
         for row in scan.rows
     ]
 

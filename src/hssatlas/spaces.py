@@ -3,7 +3,11 @@
 ``FAMILIES`` is the one place that knows which families exist, what
 their parameters look like, their embedding degree and its citation;
 the constructor, the factor order, the parser, the scans, the degree
-and the report read it.  ``COINCIDENCES`` is the one list of spellings
+and the report read it.  A report cites each family's ``citation`` and
+warns of a factor whose s is at most its ``small_upto``; a scan starts
+at ``least`` and ends its footnotes with ``scan_note``.  Parameters are
+plain ints: ``IrreducibleSpace`` passes each through ``operator.index``
+and refuses anything else.  ``COINCIDENCES`` is the one list of spellings
 that name the same manifold: canonical form takes its rewrites from
 it, and ``check`` its probes, each expecting its row's verdict (any
 other verdict is marked UNEXPECTED).  An expression denotes a finite
@@ -37,6 +41,7 @@ same messages and positions.
 
 from __future__ import annotations
 
+import operator
 import re
 from itertools import takewhile
 from typing import Callable, Iterable, NamedTuple
@@ -73,6 +78,8 @@ class Family(NamedTuple):
     rank: Callable[..., int]
     degree: Callable[..., FactorialRatio]  # Hua's factorial ratio, 2! for the quadric
     citation: str  # the result a report cites for the degree
+    small_upto: int | None = None  # a report warns of its degree formula up to this s
+    scan_note: str | None = None  # a footnote of every scan of the family
 
 
 def _degree_i(k: int, s: int) -> FactorialRatio:
@@ -105,14 +112,19 @@ def _degree_iv(s: int) -> FactorialRatio:
 
 
 # The families in canonical factor order; IV(1) and IV(2) have ranks 1 and 2.
+# The type II form below s=6 and the type III form below s=5 are outside
+# the range the classification uses them in, so a report warns of them.
 FAMILIES = {
     "I": Family(2, "(k, s)", 2, lambda k, s: (s - k) * k, lambda k, s: min(k, s - k), _degree_i,
                 "degree(I(k,s)): volume of the type I classical domain (Hua); "
                 "equals the standard-Young-tableaux count of the k x (s-k) rectangle"),
     "II": Family(1, "(s,)", 2, lambda s: s * (s - 1) // 2, lambda s: s // 2, _degree_ii,
-                 "degree(II(s)): volume of the type II classical domain (Hua)"),
+                 "degree(II(s)): volume of the type II classical domain (Hua)", 5),
     "III": Family(1, "(s,)", 1, lambda s: s * (s + 1) // 2, lambda s: s, _degree_iii,
-                  "degree(III(s)): volume of the type III classical domain (Hua)"),
+                  "degree(III(s)): volume of the type III classical domain (Hua)", 4,
+                  "type III threshold: published statements disagree (s >= 5 vs s >= 6); "
+                  "the exact degrees give the first clause-(i) case at s = 5, since "
+                  "degree(III(4)) = 12 < 2n = 20 while degree(III(5)) = 286 >= 2n = 30"),
     "IV": Family(1, "(s,)", 1, lambda s: s, lambda s: min(s, 2), _degree_iv,
                  "degree(IV(s)) = 2: quadric embedding (Wirtinger degree-volume identity)"),
 }
@@ -127,7 +139,9 @@ class IrreducibleSpace(_IrreducibleFields):
     """One irreducible factor: a kind of ``FAMILIES`` plus as many
     integer parameters as its arity.
 
-    An immutable named tuple; out-of-range parameters raise
+    An immutable named tuple whose params are a tuple of plain ints:
+    each parameter passes through ``operator.index`` (so ``True`` is 1),
+    and one that is not an integer, or is out of range, raises
     ``InvalidParams`` when it is built."""
 
     __slots__ = ()
@@ -136,6 +150,10 @@ class IrreducibleSpace(_IrreducibleFields):
         family = FAMILIES.get(kind)
         if family is None:
             raise InvalidParams(f"unknown space kind {kind!r}")
+        try:
+            params = tuple(map(operator.index, params))
+        except TypeError:
+            raise InvalidParams(f"type {kind} takes integers {family.signature}, got {params!r}") from None
         if len(params) != family.arity:
             raise InvalidParams(f"type {kind} takes {family.signature}, got {params}")
         s = params[-1]
@@ -185,10 +203,20 @@ def type_iv(s: int) -> IrreducibleSpace:
 
 
 def projective_space(n: int) -> IrreducibleSpace:
-    """CP(n) in its type I incarnation I(1, n+1)."""
+    """CP(n) in its type I incarnation I(1, n+1); n passes through
+    ``operator.index`` as a factor's parameters do."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidParams(f"CP(n) takes an integer n, got {n!r}") from None
     if n < 1:
         raise InvalidParams(f"CP(n) requires n >= 1, got n={n}")
     return type_i(1, n + 1)
+
+
+def is_single_projective(space: SpaceExpr) -> bool:
+    """Whether ``space`` is one factor I(1, n+1), that is CP(n)."""
+    return len(space.factors) == 1 and space.factors[0].kind == "I" and space.factors[0].params[0] == 1
 
 
 class Coincidence(NamedTuple):
@@ -391,7 +419,7 @@ class _Parser:
             while len(params) < family.arity:
                 self.eat(",")
                 params.append(self.integer())
-            factor = IrreducibleSpace(word, tuple(params))
+            factor = IrreducibleSpace(word, params)
         self.eat(")")
         return [factor]
 

@@ -1,6 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import settings
 
+from hssatlas import oracle
 from hssatlas.oracle import RectShape, count_syt_bruteforce
 
 # ``--hypothesis-profile=ci`` reruns a module's property tests with ten
@@ -28,3 +32,12 @@ def bruteforce_count():
         return counts[shape]
 
     return count
+
+
+@pytest.fixture
+def off_by_one_factorial(monkeypatch):
+    """The oracle's ``math.factorial`` one too large, as a mistyped hook
+    count would be, so the hook product leaves a remainder; the
+    arithmetic evaluators keep the real one."""
+    factorial = math.factorial
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(prod=math.prod, factorial=lambda m: factorial(m) + 1))

@@ -82,11 +82,11 @@ def test_criterion_02_family_thresholds():
     for k in (3, 4, 5):
         scan = threshold_scan("I", 2 * k, 14, k=k)
         checks.append(scan.first_exact == 2 * k)
-        checks.append(all(row.clause == "Thm1(i)" for row in scan.rows))
+        checks.append(all(row.sb.clause == "Thm1(i)" for row in scan.rows))
     checks.append(threshold_scan("II", 2, 10).first_exact == 6)
     scan = threshold_scan("IV", 3, 20)
     checks.append(scan.first_exact is None)
-    checks.append(all(row.clause == "Thm1(ii)" for row in scan.rows))
+    checks.append(all(row.sb.clause == "Thm1(ii)" for row in scan.rows))
     _criterion(
         2,
         all(checks),

@@ -85,12 +85,12 @@ def test_projective_rule_needs_a_single_factor(table):
 def test_report_exact_case(table):
     rep = report(parse("II(6)"), table)
     assert rep.space == "II(6)"
-    assert (rep.n, rep.two_n, rep.rank) == (15, 30, 3)
+    assert (rep.n, rep.rank) == (15, 3)
     assert (rep.degree, rep.gamma) == (286, 287)
     assert "volume" not in rep._fields  # in units of pi^n/n!, the volume is the degree
     assert rep.gromov_width_units == 1
     assert rep.sb == SBResult.exact(287)
-    assert rep.case == CLAUSE_EXACT
+    assert rep.sb.clause == CLAUSE_EXACT
     assert rep.warnings == ()
     assert any("clause (i)" in c for c in rep.citations)
 
@@ -449,8 +449,8 @@ def test_scan_type_i_k2_first_fires_at_seven():
     scan = threshold_scan("I", 4, 10, k=2)
     assert scan.first_exact == 7
     by_param = {row.param: row for row in scan.rows}
-    assert by_param[6].clause == CLAUSE_RANGE
-    assert by_param[7].clause == CLAUSE_EXACT
+    assert by_param[6].sb.clause == CLAUSE_RANGE
+    assert by_param[7].sb.clause == CLAUSE_EXACT
     assert by_param[7].degree == 42 and by_param[7].n == 10
 
 
@@ -466,15 +466,15 @@ def test_scan_type_iii_first_fires_at_five_with_footnote():
     scan = threshold_scan("III", 1, 10)
     assert scan.first_exact == 5
     by_param = {row.param: row for row in scan.rows}
-    assert (by_param[4].degree, by_param[4].clause) == (12, CLAUSE_RANGE)
-    assert (by_param[5].degree, by_param[5].clause) == (286, CLAUSE_EXACT)
+    assert (by_param[4].degree, by_param[4].sb.clause) == (12, CLAUSE_RANGE)
+    assert (by_param[5].degree, by_param[5].sb.clause) == (286, CLAUSE_EXACT)
     assert any("s >= 5 vs s >= 6" in note for note in scan.footnotes)
 
 
 def test_scan_type_iv_never_fires():
     scan = threshold_scan("IV", 3, 20)
     assert scan.first_exact is None
-    assert all(row.clause == CLAUSE_RANGE for row in scan.rows)
+    assert all(row.sb.clause == CLAUSE_RANGE for row in scan.rows)
     assert any("never fires" in note for note in scan.footnotes)
 
 
@@ -588,6 +588,22 @@ def test_scan_rejects_a_non_positive_k():
     for k in (0, -3):
         with pytest.raises(InvalidParams, match=f"^family I needs k >= 1, got k={k}$"):
             threshold_scan("I", 1, 5, k=k)
+
+
+@pytest.mark.parametrize(
+    "start,stop,k",
+    [(3.0, 5, 2), (3, "5", 2), (3, 5, 2.5), (3, 5, "2"), (None, 5, 2)],
+)
+def test_scan_takes_only_integers(start, stop, k):
+    with pytest.raises(InvalidParams, match="^a scan takes integers, got "):
+        threshold_scan("I", start, stop, k=k)
+
+
+def test_scan_reads_an_integer_k_as_a_plain_int():
+    # True is the integer 1, so the label and the rows are those of k=1
+    scan = threshold_scan("I", 3, 5, k=True)
+    assert scan.family == "I(k=1)"
+    assert scan == threshold_scan("I", 3, 5, k=1)
 
 
 def test_scan_row_count_is_bounded_before_the_first_row():

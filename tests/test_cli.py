@@ -229,6 +229,12 @@ def test_a_non_integral_degree_exits_3(capsys, monkeypatch):
     assert run(capsys, "compute", "V(1)") == (3, "", "NonIntegralRatio: (1!)/(2!) is not an integer\n")
 
 
+@pytest.mark.usefixtures("off_by_one_factorial")
+def test_a_hook_count_with_a_remainder_exits_3_with_one_line(capsys):
+    message = "NonIntegralRatio: 2! is not a multiple of the hook product of 1x2\n"
+    assert run(capsys, "check") == (3, "", message)
+
+
 def test_missing_refinement_file_is_a_usage_error(capsys):
     code, _, err = run(capsys, "compute", "CP(3)", "--refinements", "/no/such/file.txt")
     assert code == 2

@@ -77,6 +77,31 @@ def test_family_row(kind):
     assert rep.citations[0].startswith(citation)
 
 
+# kind: the greatest s whose report warns of the degree formula, and the
+#       head of the note every scan of the family ends with
+EXPECTED_WARNINGS_AND_NOTES = {
+    "I": (None, None),
+    "II": (5, None),
+    "III": (4, "type III threshold: published statements disagree (s >= 5 vs s >= 6)"),
+    "IV": (None, None),
+}
+
+
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_family_warning_limit_and_scan_note(kind):
+    small_upto, note = EXPECTED_WARNINGS_AND_NOTES[kind]
+    assert (FAMILIES[kind].small_upto, FAMILIES[kind].scan_note is None) == (small_upto, note is None)
+    if small_upto is not None:
+        factor = IrreducibleSpace(kind, (small_upto,))
+        (warning,) = report(SpaceExpr((factor,))).warnings
+        assert warning.startswith(f"{factor}: small-parameter degree formula; ")
+        assert report(SpaceExpr((IrreducibleSpace(kind, (small_upto + 1,)),))).warnings == ()
+    k, least = EXPECTED[kind][2], EXPECTED[kind][0][-1]
+    footnotes = threshold_scan(kind, least, least + 1, k=k).footnotes
+    assert len(footnotes) == (1 if note is None else 2)
+    assert note is None or footnotes[-1].startswith(note)
+
+
 # a few parameters of each family, all canonical
 RATIO_SAMPLES = {
     "I": [(1, 2), (2, 5), (3, 7), (5, 11)],
@@ -96,7 +121,9 @@ def test_every_family_degree_is_a_factorial_ratio(kind):
 
 def test_a_new_family_is_one_row(monkeypatch):
     citation = "degree(V(s)) = 4: a toy family"
-    toy = Family(1, "(s,)", 1, lambda s: 2 * s, lambda s: 1, lambda s: FactorialRatio((4,), (3,)), citation)
+    note = "type V threshold: a toy note"
+    toy = Family(1, "(s,)", 1, lambda s: 2 * s, lambda s: 1, lambda s: FactorialRatio((4,), (3,)), citation,
+                 2, note)
     monkeypatch.setitem(FAMILIES, "V", toy)
 
     space = parse("V(3) x CP(1)")
@@ -105,10 +132,17 @@ def test_a_new_family_is_one_row(monkeypatch):
     # multinomial(6, 1) = 7 times the factor degrees 4 and 1
     assert (rep.n, rep.rank, rep.degree, rep.sb) == (7, 2, 28, SBResult.exact(29))
     assert rep.citations[:2] == (FAMILIES["I"].citation, citation)
+    assert rep.warnings == ()  # V(3) is above the row's small_upto
+
+    # V(2) is at its small_upto, so a report warns of it, once
+    assert report(parse("V(2) x V(2) x V(3)")).warnings == (
+        "V(2): small-parameter degree formula; see the isomorphism diagnostics (run `check`)",
+    )
 
     scan = threshold_scan("V", 1, 3)
     assert [(row.n, row.degree) for row in scan.rows] == [(2, 4), (4, 4), (6, 4)]
-    assert [row.clause for row in scan.rows] == ["Thm1(i)", "Thm1(ii)", "Thm1(ii)"]
+    assert [row.sb.clause for row in scan.rows] == ["Thm1(i)", "Thm1(ii)", "Thm1(ii)"]
+    assert scan.footnotes == ("the exact clause Thm1(i) never fires in the scanned range", note)
 
 
 # --- coincidences ----------------------------------------------------------

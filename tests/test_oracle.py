@@ -6,6 +6,7 @@ import math
 import pytest
 
 from hssatlas import oracle
+from hssatlas.arith import NonIntegralRatio
 from hssatlas.oracle import (
     BRUTE_FORCE_CELL_LIMIT,
     Diagnostic,
@@ -70,6 +71,23 @@ def test_shape_sides_must_be_positive():
         RectShape(0, 3)
     with pytest.raises(ValueError):
         RectShape(2, -1)
+
+
+@pytest.mark.parametrize("rows,cols", [(2.5, 3), (2, 3.0), ("2", 3), (None, 1)])
+def test_shape_sides_must_be_integers(rows, cols):
+    with pytest.raises(ValueError, match=f"^shape sides must be integers, got rows={rows!r}, cols={cols!r}$"):
+        RectShape(rows, cols)
+
+
+def test_shape_sides_are_plain_ints():
+    shape = RectShape(True, 3)
+    assert shape == RectShape(1, 3) and type(shape.rows) is int
+
+
+@pytest.mark.usefixtures("off_by_one_factorial")
+def test_a_hook_count_with_a_remainder_raises_even_under_python_o():
+    with pytest.raises(NonIntegralRatio, match=r"^6! is not a multiple of the hook product of 2x3$"):
+        count_syt_hook(RectShape(2, 3))
 
 
 def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope(bruteforce_count):

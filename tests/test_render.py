@@ -75,11 +75,13 @@ def test_check_bytes(checks, fmt):
 
 @pytest.mark.parametrize("expr,clause", [("II(6)", CLAUSE_EXACT), ("I(2,5)", CLAUSE_RANGE)])
 def test_sb_clause_is_the_report_case_and_the_scan_clause(expr, clause):
+    # the clause is stored once, on SBResult; the JSON "case" and "clause" print it
     rep = report(parse(expr), BUILTIN)
-    assert rep.sb.clause == rep.case == clause
+    assert rep.sb.clause == json.loads(render.render_report_json(rep))["case"] == clause
     scan = threshold_scan("I", 3, 8, k=2, table=BUILTIN)
-    rows = [row for row in scan.rows if row.sb.kind == rep.sb.kind]
-    assert rows and all(row.sb.clause == row.clause == clause for row in rows)
+    printed = [row["clause"] for row in json.loads(render.render_scan_json(scan))["rows"]]
+    assert printed == [row.sb.clause for row in scan.rows]
+    assert clause in printed
 
 
 # --- integers over the interpreter's digit limit ----------------------------

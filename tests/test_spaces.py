@@ -1,8 +1,12 @@
+import operator
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hssatlas.spaces import (
+    FAMILIES,
     EmptyProduct,
     InvalidParams,
     IrreducibleSpace,
@@ -299,3 +303,69 @@ def test_replace_validates_and_canonicalizes():
         expr._replace(factors=())
     with pytest.raises(InvalidParams):
         type_i(2, 5)._replace(params=(0, 5))
+
+
+# --- parameters are integers -----------------------------------------------
+
+
+class Index:
+    """An integer in disguise: a type that only defines ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+# what a library caller might pass as one parameter
+integer_like = st.one_of(st.integers(-3, 60), st.integers(), st.booleans(), st.integers(-3, 60).map(Index))
+not_integers = st.one_of(st.floats(allow_nan=False), st.fractions(max_denominator=4), st.text(max_size=2), st.none())
+
+
+@st.composite
+def kinds_and_params(draw):
+    """A kind (or an unknown one) and parameters that are mostly its
+    arity of integer-likes, so that about one draw in five builds a factor."""
+    kind = draw(st.sampled_from([*FAMILIES, "V"]))
+    if draw(st.integers(0, 9)) == 0:
+        return kind, draw(st.one_of(integer_like, not_integers))  # not a sequence at all
+    arity = FAMILIES[kind].arity if kind in FAMILIES else 1
+    length = draw(st.sampled_from([arity] * 4 + [0, arity + 1]))
+    values = [draw(not_integers if draw(st.integers(0, 5)) == 0 else integer_like) for _ in range(length)]
+    return kind, draw(st.sampled_from([tuple, list]))(values)
+
+
+@given(drawn=kinds_and_params())
+@example(drawn=("III", (True,)))
+@example(drawn=("II", (6.0,)))
+@example(drawn=("II", [6]))
+@example(drawn=("I", (Index(2), 5)))
+def test_a_factor_holds_plain_ints_or_is_refused(drawn):
+    kind, params = drawn
+    try:
+        factor = IrreducibleSpace(kind, params)
+    except InvalidParams:
+        return
+    assert type(factor.params) is tuple and all(type(p) is int for p in factor.params)
+    assert factor.params == tuple(map(operator.index, params))
+    assert hash(factor) == hash((kind, factor.params))
+    assert parse(factor.render()) == SpaceExpr((factor,))
+
+
+def test_non_integer_parameters_are_refused_by_name():
+    assert IrreducibleSpace("III", (True,)).render() == "III(1)"
+    assert IrreducibleSpace("II", [6]) == type_ii(6)
+    with pytest.raises(InvalidParams, match=r"^type II takes integers \(s,\), got \(6\.0,\)$"):
+        IrreducibleSpace("II", (6.0,))
+    with pytest.raises(InvalidParams, match=r"^type I takes integers \(k, s\), got 5$"):
+        IrreducibleSpace("I", 5)
+    with pytest.raises(InvalidParams, match="^type I takes integers"):
+        type_i(2, 5)._replace(params=(2, "5"))
+    assert projective_space(True) == type_i(1, 2)
+    for n in ("3", 2.5, None):
+        with pytest.raises(InvalidParams, match=f"^CP\\(n\\) takes an integer n, got {re.escape(repr(n))}$"):
+            projective_space(n)
