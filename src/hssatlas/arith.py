@@ -18,11 +18,11 @@ factorials, and the leaves are multiplied pairwise, so that the large
 multiplications have operands of similar size, where Karatsuba pays.
 Any other side is a single leaf.
 
-The division is ``exact_quotient``.  Below
-``EXACT_DIVISION_MIN_BITS`` denominator bits, or for a quotient of
-fewer than ``EXACT_DIVISION_MIN_QUOTIENT_BITS`` bits, that is ``divmod``
-and its remainder test.  Otherwise the division is 2-adic (Jebelean, "An
-algorithm for exact division", J. Symbolic Computation 15, 1993): with
+The division is ``exact_quotient``, and the denominator's size alone
+picks its path.  Below ``EXACT_DIVISION_MIN_BITS`` denominator bits
+that is ``divmod`` and its remainder test.  At or above it the division
+is 2-adic (Jebelean, "An algorithm for exact division", J. Symbolic
+Computation 15, 1993), whatever the size of the quotient: with
 den = 2^e * d and d odd, a numerator that 2^e does not divide is not a
 multiple of den; otherwise the quotient is (num / 2^e) * d^-1 modulo a
 power of 2 just large enough to hold an exact quotient, with d^-1
@@ -82,16 +82,12 @@ class FactorialRatio(NamedTuple):
         return f"({num})/({den})"
 
 
-# Below this many denominator bits ``divmod`` is the faster division:
-# the 2-adic path's shifts, masks and inverse outweigh what Karatsuba
-# saves (crossover measured on the family degree ratios, CPython 3.11).
+# The one gate of ``exact_quotient``: below this many denominator bits
+# ``divmod`` is the faster division, since the 2-adic path's shifts,
+# masks and inverse outweigh what Karatsuba saves; at or above it the
+# 2-adic path is taken for every quotient size, down to CP(n)'s 1 bit
+# (crossover measured on the family degree ratios, CPython 3.11).
 EXACT_DIVISION_MIN_BITS = 16384
-# Nor for a quotient under this many bits, at any denominator size: long
-# division is then a few passes over the denominator, fewer than the
-# 2-adic path's shifts, masks and full check product (crossover between
-# 226 and 385 quotient bits on type I ratios with 34,000 to 110,000
-# denominator bits, CPython 3.11).
-EXACT_DIVISION_MIN_QUOTIENT_BITS = 256
 
 
 def _inverse_mod_power_of_2(d: int, bits: int) -> int:
@@ -108,15 +104,14 @@ def _inverse_mod_power_of_2(d: int, bits: int) -> int:
 def exact_quotient(num: int, den: int) -> int | None:
     """num / den for num >= 0 and den > 0, or None when den does not
     divide num."""
-    den_bits = den.bit_length()
-    k = num.bit_length() - den_bits + 1  # an exact quotient has at most k bits
-    if den_bits < EXACT_DIVISION_MIN_BITS or k < EXACT_DIVISION_MIN_QUOTIENT_BITS:
+    if den.bit_length() < EXACT_DIVISION_MIN_BITS:
         quotient, remainder = divmod(num, den)
         return None if remainder else quotient
     e = (den & -den).bit_length() - 1  # den = 2^e * d, d odd
     if num & ((1 << e) - 1):
         return None
-    a, d = num >> e, den >> e  # shifting both by e leaves k unchanged
+    a, d = num >> e, den >> e
+    k = a.bit_length() - d.bit_length() + 1  # an exact quotient has at most k bits
     q = 0
     if k > 0:
         # the low h bits from d^-1 modulo 2^h, then the other k - h

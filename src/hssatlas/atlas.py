@@ -351,7 +351,7 @@ def threshold_scan(
     starts below the family's least parameter or one of more than
     ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
     """
-    spec = FAMILIES.get(family)
+    spec = FAMILIES.get(family) if isinstance(family, str) else None
     if spec is None:
         raise InvalidParams(f"unknown family {family!r} (expected one of {', '.join(FAMILIES)})")
     try:

@@ -142,12 +142,13 @@ class IrreducibleSpace(_IrreducibleFields):
     An immutable named tuple whose params are a tuple of plain ints:
     each parameter passes through ``operator.index`` (so ``True`` is 1),
     and one that is not an integer, or is out of range, raises
-    ``InvalidParams`` when it is built."""
+    ``InvalidParams`` when it is built, as does a kind that is not a
+    key of ``FAMILIES`` (a non-string too)."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, params: tuple[int, ...]) -> IrreducibleSpace:
-        family = FAMILIES.get(kind)
+        family = FAMILIES.get(kind) if isinstance(kind, str) else None
         if family is None:
             raise InvalidParams(f"unknown space kind {kind!r}")
         try:
@@ -266,6 +267,8 @@ class SpaceExpr(_SpaceExprFields):
     rewritten becomes its factors, and factors are sorted by kind (in
     ``FAMILIES`` order), then by params.  Two spellings of one product
     therefore compare equal, hash equal and render to the same key.
+    A factor that is not an ``IrreducibleSpace``, a plain tuple with the
+    same fields included, raises ``InvalidParams``.
     """
 
     __slots__ = ()
@@ -275,6 +278,8 @@ class SpaceExpr(_SpaceExprFields):
             raise EmptyProduct("a space expression needs at least one factor")
         rewritten: list[IrreducibleSpace] = []
         for f in factors:
+            if not isinstance(f, IrreducibleSpace):
+                raise InvalidParams(f"a space expression takes IrreducibleSpace factors, got {f!r}")
             if f.kind == "I":
                 k, s = f.params
                 rewritten.append(f if k <= s - k else type_i(s - k, s))

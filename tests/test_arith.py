@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hssatlas import arith
 from hssatlas.arith import (
     EXACT_DIVISION_MIN_BITS,
-    EXACT_DIVISION_MIN_QUOTIENT_BITS,
     PRODUCT_TREE_MIN_SUM,
     FactorialRatio,
     NonIntegralRatio,
@@ -354,12 +353,9 @@ def test_exact_quotient_on_both_sides_of_the_cutoff(den_bits):
 
 
 @pytest.mark.parametrize("den_bits", [64, 2 * CUTOFF])
-def test_exact_quotient_of_a_quotient_with_at_most_one_bit(den_bits, monkeypatch):
+def test_exact_quotient_of_a_quotient_with_at_most_one_bit(den_bits):
     """k = bitlen(num >> e) - bitlen(d) + 1 <= 1: the quotient is 0 or 1,
-    or the numerator is smaller than the denominator.  Quotients this
-    small go to divmod, so the quotient cutoff is lifted to reach the
-    2-adic path with them."""
-    monkeypatch.setattr(arith, "EXACT_DIVISION_MIN_QUOTIENT_BITS", -math.inf)
+    or the numerator is smaller than the denominator."""
     d = _odd(den_bits)
     for e in (0, 7):
         den = d << e
@@ -372,8 +368,7 @@ def test_exact_quotient_of_a_quotient_with_at_most_one_bit(den_bits, monkeypatch
 
 
 @pytest.mark.parametrize("den_bits", [64, 2 * CUTOFF])
-def test_exact_quotient_when_the_denominator_has_more_factors_of_2(den_bits, monkeypatch):
-    monkeypatch.setattr(arith, "EXACT_DIVISION_MIN_QUOTIENT_BITS", -math.inf)  # small quotients too
+def test_exact_quotient_when_the_denominator_has_more_factors_of_2(den_bits):
     d = _odd(den_bits)
     for q in (1, _odd(200), _odd(CUTOFF)):
         # num has 2^5, den has 2^6: never an integer, whatever the odd parts
@@ -407,38 +402,37 @@ def test_exact_quotient_on_large_family_ratios_matches_divmod():
         assert exact_quotient(num, den << (v + 1)) is None  # one factor of 2 short
 
 
-def test_small_quotients_over_large_denominators_take_divmod(monkeypatch):
-    """I(2,s) has a quotient of a few hundred bits over a denominator of
-    16,384 bits or more: long division, never the 2-adic inverse."""
+def test_small_quotients_over_large_denominators_take_the_2_adic_path(monkeypatch):
+    """I(2,s) and I(1,s) have quotients of a few hundred bits or fewer
+    over a denominator of 16,384 bits or more: the denominator alone
+    chooses the path, so each is divided 2-adically."""
+    inverse, calls = arith._inverse_mod_power_of_2, []
 
-    def refuse(d, bits):
-        raise AssertionError("took the 2-adic path")
+    def counting(d, bits):
+        calls.append(bits)
+        return inverse(d, bits)
 
-    monkeypatch.setattr(arith, "_inverse_mod_power_of_2", refuse)
-    for s in (90, 100, 120):
-        num, den = _ratio_operands(type_i(2, s))
-        assert den.bit_length() >= CUTOFF
-        assert num.bit_length() - den.bit_length() + 1 < EXACT_DIVISION_MIN_QUOTIENT_BITS
+    monkeypatch.setattr(arith, "_inverse_mod_power_of_2", counting)
+    for space in (type_i(2, 90), type_i(2, 120), type_i(1, 160)):
+        num, den = _ratio_operands(space)
+        assert den.bit_length() >= CUTOFF, space
         quotient, remainder = divmod(num, den)
         assert remainder == 0
-        assert exact_quotient(num, den) == quotient
-        assert exact_quotient(num + 1, den) is None
-    num, den = _ratio_operands(type_i(8, 90))  # same denominator, quotient over the cutoff
-    with pytest.raises(AssertionError, match="2-adic"):
-        exact_quotient(num, den)
+        calls.clear()
+        assert exact_quotient(num, den) == quotient, space
+        assert calls, f"{space} took divmod"
+        assert exact_quotient(num + 1, den) is None, space
 
 
 def test_both_division_paths_agree_on_family_ratios(monkeypatch):
     """Each family ratio divided once by divmod alone and once by the
-    2-adic path alone, whatever the two cutoffs would choose."""
+    2-adic path alone, whatever the cutoff would choose."""
     spaces = [type_i(k, s) for s in range(4, 121, 9) for k in (1, 2, 3, s // 3, s // 2)]
     spaces += [type_ii(s) for s in range(2, 81, 6)] + [type_iii(s) for s in range(1, 81, 6)]
     operands = [_ratio_operands(space) for space in spaces]
     assert sum(den.bit_length() >= CUTOFF for _, den in operands) >= 10
-    paths = {"divmod": (math.inf, math.inf), "2-adic": (0, -math.inf)}
-    for path, (min_bits, min_quotient_bits) in paths.items():
+    for path, min_bits in {"divmod": math.inf, "2-adic": 0}.items():
         monkeypatch.setattr(arith, "EXACT_DIVISION_MIN_BITS", min_bits)
-        monkeypatch.setattr(arith, "EXACT_DIVISION_MIN_QUOTIENT_BITS", min_quotient_bits)
         for (num, den), space in zip(operands, spaces):
             quotient, remainder = divmod(num, den)
             assert remainder == 0

@@ -599,6 +599,12 @@ def test_scan_takes_only_integers(start, stop, k):
         threshold_scan("I", start, stop, k=k)
 
 
+@pytest.mark.parametrize("family", [["I"], {"II": 1}])
+def test_scan_of_a_family_that_is_not_a_string_is_unknown(family):
+    with pytest.raises(InvalidParams, match=r"^unknown family .* \(expected one of I, II, III, IV\)$"):
+        threshold_scan(family, 1, 2)
+
+
 def test_scan_reads_an_integer_k_as_a_plain_int():
     # True is the integer 1, so the label and the rows are those of k=1
     scan = threshold_scan("I", 3, 5, k=True)

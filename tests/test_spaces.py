@@ -305,6 +305,29 @@ def test_replace_validates_and_canonicalizes():
         type_i(2, 5)._replace(params=(0, 5))
 
 
+@pytest.mark.parametrize("kind", [["I"], {"I": 1}])
+def test_a_kind_that_is_not_a_string_is_unknown(kind):
+    message = f"^unknown space kind {re.escape(repr(kind))}$"
+    with pytest.raises(InvalidParams, match=message):
+        IrreducibleSpace(kind, (1, 2))
+    with pytest.raises(InvalidParams, match=message):
+        type_i(1, 2)._replace(kind=kind)
+
+
+@pytest.mark.parametrize("item", [("I", (1, 2)), "x", None, parse("I(1,2)")])
+def test_a_product_of_anything_but_factors_is_refused(item):
+    # a plain tuple compares equal to a factor but is not converted into one
+    message = f"^a space expression takes IrreducibleSpace factors, got {re.escape(repr(item))}$"
+    with pytest.raises(InvalidParams, match=message):
+        SpaceExpr((item,))
+    with pytest.raises(InvalidParams, match=message):
+        SpaceExpr((type_ii(3), item, "y"))  # the first item that is not a factor
+    with pytest.raises(InvalidParams, match=message):
+        SpaceExpr._make([(item,)])
+    with pytest.raises(InvalidParams, match=message):
+        parse("II(3)")._replace(factors=(item,))
+
+
 # --- parameters are integers -----------------------------------------------
 
 
