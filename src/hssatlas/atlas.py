@@ -232,7 +232,11 @@ def classify(space: SpaceExpr, table: RefinementTable | None = None, d: int | No
     """S_B from Gamma and n: exact when Gamma >= 2n+1, otherwise the
     theorem bracket, narrowed by the refinement table when one is
     supplied.  A caller that already holds the degree passes it as
-    ``d``; otherwise it is evaluated here."""
+    ``d``; otherwise it is evaluated here.  A ``space`` that is not a
+    ``SpaceExpr`` (text, say: parse it first) raises ``InvalidParams``,
+    here and from ``report``, which classifies first."""
+    if not isinstance(space, SpaceExpr):
+        raise InvalidParams(f"expected a SpaceExpr, got {type(space).__name__} {space!r}")
     n = space.dimension
     g = gamma_from_degree(degree(space) if d is None else d, n, gromov_width_units(space))
     if g >= 2 * n + 1:

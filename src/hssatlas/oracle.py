@@ -205,6 +205,11 @@ class CheckResult(NamedTuple):
         return not (self.ratios_failed or self.syt_failed or self.unexpected)
 
 
+# The multinomial ratios that ``check`` evaluates along both arithmetic
+# paths, after the family ratios of its sweep.
+CHECK_MULTINOMIALS = ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))
+
+
 def _arith_cross_check() -> tuple[int, int]:
     """Evaluate every standard-sweep ratio along both arithmetic paths.
 
@@ -217,7 +222,7 @@ def _arith_cross_check() -> tuple[int, int]:
         ratios.append(degree_ratio(type_ii(s)))
     for s in range(1, 9):
         ratios.append(degree_ratio(type_iii(s)))
-    for dims in ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5)):
+    for dims in CHECK_MULTINOMIALS:
         ratios.append(multinomial_ratio(dims))
     failed = sum(1 for r in ratios if eval_ratio_direct(r) != eval_ratio_legendre(r))
     return len(ratios), failed

@@ -73,7 +73,7 @@ class Family(NamedTuple):
 
     arity: int
     signature: str  # how the parameters are written, e.g. "(k, s)"
-    least: int  # the least s
+    least: int  # the least s; a family without parameters has no s
     dimension: Callable[..., int]
     rank: Callable[..., int]
     degree: Callable[..., FactorialRatio]  # Hua's factorial ratio, 2! for the quadric
@@ -157,13 +157,14 @@ class IrreducibleSpace(_IrreducibleFields):
             raise InvalidParams(f"type {kind} takes integers {family.signature}, got {params!r}") from None
         if len(params) != family.arity:
             raise InvalidParams(f"type {kind} takes {family.signature}, got {params}")
-        s = params[-1]
-        if kind == "I" and not 1 <= params[0] <= s - 1:  # which implies s >= 2
-            raise InvalidParams(
-                f"type I requires 1 <= k <= s-1 and s >= {family.least}, got k={params[0]}, s={s}"
-            )
-        if s < family.least:
-            raise InvalidParams(f"type {kind} requires s >= {family.least}, got s={s}")
+        if params:  # a family without parameters has no s to bound
+            s = params[-1]
+            if kind == "I" and not 1 <= params[0] <= s - 1:  # which implies s >= 2
+                raise InvalidParams(
+                    f"type I requires 1 <= k <= s-1 and s >= {family.least}, got k={params[0]}, s={s}"
+                )
+            if s < family.least:
+                raise InvalidParams(f"type {kind} requires s >= {family.least}, got s={s}")
         return super().__new__(cls, kind, params)
 
     @classmethod

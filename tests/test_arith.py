@@ -1,7 +1,9 @@
 import bisect
 import math
 import re
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +20,15 @@ from hssatlas.arith import (
     exact_quotient,
 )
 from hssatlas.invariants import degree_ratio, multinomial_ratio
+from hssatlas.oracle import CHECK_MULTINOMIALS
 from hssatlas.spaces import IrreducibleSpace, parse, type_i, type_ii, type_iii
+
+
+@pytest.fixture
+def empty_prime_table(monkeypatch):
+    """The process's prime table as a fresh process starts it, restored
+    after the test."""
+    monkeypatch.setattr(arith, "_prime_table", (1, []))
 
 
 def test_factorial_agrees_with_prime_exponent_reconstruction():
@@ -37,6 +47,9 @@ KNOWN_RATIOS = [
     (FactorialRatio((5, 5, 5), (5, 5)), 120),
     (FactorialRatio((0, 1, 7), (1, 0)), 5040),
     (FactorialRatio((), (0, 1)), 1),
+    # arguments are left after cancelling, but every prime's net exponent is 0
+    (FactorialRatio((6,), (5, 3)), 1),
+    (FactorialRatio((10,), (7, 6)), 1),
 ]
 
 
@@ -171,17 +184,17 @@ def _smallest_negative_prime(num: tuple[int, ...], den: tuple[int, ...]) -> int 
 
 
 @st.composite
-def mixed_ratios(draw):
-    """Dense arguments 0..60, a few sparse ones up to 5,000 (some just
-    below the largest), and the largest on either side, so that the first
-    negative prime falls among the suffix-count slices, the per-argument
-    Legendre sums or the blocks of large primes."""
-    top = draw(st.integers(min_value=2, max_value=5000), label="top")
+def mixed_ratios(draw, largest=5000):
+    """Dense arguments 0..60, a few sparse ones up to largest (some just
+    below the largest drawn), and the largest on either side, so that the
+    first negative prime falls among the suffix-count slices, the
+    per-argument Legendre sums or the blocks of large primes."""
+    top = draw(st.integers(min_value=2, max_value=largest), label="top")
     near_top = st.integers(min_value=1, max_value=30).map(lambda d: max(top - d, 0))
     sides = []
     for _ in range(2):
         dense = draw(st.lists(st.integers(min_value=0, max_value=60), max_size=6))
-        sparse = draw(st.lists(st.one_of(st.integers(min_value=61, max_value=5000), near_top), max_size=2))
+        sparse = draw(st.lists(st.one_of(st.integers(min_value=61, max_value=largest), near_top), max_size=2))
         sides.append(dense + sparse)
     sides[draw(st.booleans(), label="top in denominator")].append(top)
     return FactorialRatio(*map(tuple, sides))
@@ -200,10 +213,6 @@ def test_non_integral_ratio_names_the_smallest_negative_prime(ratio):
     message = f"{ratio} is not an integer (prime {prime} left over)"
     with pytest.raises(NonIntegralRatio, match=f"^{re.escape(message)}$"):
         eval_ratio_legendre(ratio)
-
-
-# the multinomials that ``check`` sweeps
-CHECK_MULTINOMIALS = ((1, 1), (2, 2), (1, 2, 3), (4, 6), (5, 5, 5))
 
 
 def test_legendre_never_forms_a_factorial(monkeypatch):
@@ -229,9 +238,11 @@ def test_legendre_never_forms_a_factorial(monkeypatch):
     assert [eval_ratio_legendre(r) for r in ratios] == expected
 
 
-def test_sparse_ratio_needs_no_table_of_its_arguments():
+def test_sparse_ratio_needs_no_table_of_its_arguments(empty_prime_table):
     """Two arguments, 200,000 and 199,999, both above the number of
-    primes sieved: no suffix count is built across them."""
+    primes sieved: no suffix count is built across them.  The prime
+    table starts empty, so the peak covers the sieve to 200,000 and the
+    17,984 primes it keeps."""
     ratio = FactorialRatio((200_000,), (199_999,))
     tracemalloc.start()
     try:
@@ -248,9 +259,79 @@ def test_large_multinomial_matches_the_direct_value():
     assert eval_ratio_legendre(ratio) == eval_ratio_direct(ratio)
 
 
-def test_sieve_matches_trial_division():
-    for n in range(2000):
-        assert arith._primes_upto(n) == TRIAL_PRIMES[: bisect.bisect_right(TRIAL_PRIMES, n)], n
+def _trial_primes_upto(n: int) -> list[int]:
+    return TRIAL_PRIMES[: bisect.bisect_right(TRIAL_PRIMES, n)]
+
+
+def test_sieve_matches_trial_division(empty_prime_table):
+    """Ascending from an empty table, each limit from 2 on re-sieves;
+    descending, each after the first is a bisection into the table."""
+    for limits in (range(-2, 2000), range(2001, -3, -1)):
+        for n in limits:
+            assert arith._primes_upto(n) == _trial_primes_upto(n), n
+
+
+@given(
+    limits=st.lists(st.integers(min_value=-2, max_value=5000), max_size=20),
+    first=st.sampled_from([1, 5000]),
+)
+@example(limits=[4999, 5000, 2, 4998], first=1)
+def test_sieve_matches_trial_division_in_any_order(limits, first):
+    """Limits in drawn order, from an empty table (first 1) or after a
+    sieve to 5,000, so that a limit above every earlier one re-sieves and
+    any other is a bisection; the table always holds the primes up to its
+    limit."""
+    saved = arith._prime_table
+    try:
+        arith._prime_table = (1, [])
+        arith._primes_upto(first)
+        largest = first
+        for n in limits:
+            assert arith._primes_upto(n) == _trial_primes_upto(n), n
+            largest = max(largest, n)
+            assert arith._prime_table == (largest, _trial_primes_upto(largest))
+    finally:
+        arith._prime_table = saved
+
+
+def test_a_returned_list_is_the_callers_own(empty_prime_table):
+    """Changing a list the sieve returned, whether it re-sieved or
+    bisected, leaves every later result unchanged."""
+    for limit in (100, 1000, 100, 1000, 500):  # re-sieves, then bisections
+        primes = arith._primes_upto(limit)
+        assert primes == _trial_primes_upto(limit), limit
+        primes[0] = 4
+        primes.append(limit + 1)
+        del primes[1:3]
+    assert arith._primes_upto(1000) == _trial_primes_upto(1000)
+
+
+def _outcome(ratio: FactorialRatio) -> int | str:
+    """The value of the ratio, or the message of its NonIntegralRatio."""
+    try:
+        return eval_ratio_legendre(ratio)
+    except NonIntegralRatio as error:
+        return str(error)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ratios=st.lists(mixed_ratios(largest=20_000), min_size=4, max_size=12))
+def test_threads_evaluating_at_once_share_the_prime_table(ratios):
+    """4 threads evaluate the drawn ratios at once, 3 times over, each
+    time from an empty table and with a short switch interval, so that
+    re-sieves up to 20,000 interleave with bisections into the table;
+    every outcome matches the one-thread outcome."""
+    expected = [_outcome(r) for r in ratios]
+    saved, interval = arith._prime_table, sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                arith._prime_table = (1, [])
+                assert list(pool.map(_outcome, ratios, timeout=60)) == expected
+    finally:
+        sys.setswitchinterval(interval)
+        arith._prime_table = saved
 
 
 # --- product trees -----------------------------------------------------------

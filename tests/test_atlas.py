@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -51,6 +52,19 @@ def test_classify_bracket_with_cited_sets(table):
     sb = classify(parse("CP(1) x CP(1)"), table)
     assert (sb.lower, sb.upper) == (3, 5)
     assert sb.refinement.values == (3, 4)
+
+
+@pytest.mark.parametrize("space", ["CP(1)", type_i(1, 2), None, (type_i(1, 2),)], ids=repr)
+def test_classify_and_report_take_only_a_space_expression(table, space):
+    """Text, a bare factor or a tuple of factors is refused with its
+    type named, as ``SpaceExpr`` refuses a factor of the wrong type."""
+    message = f"^expected a SpaceExpr, got {type(space).__name__} {re.escape(repr(space))}$"
+    with pytest.raises(InvalidParams, match=message):
+        classify(space, table)
+    with pytest.raises(InvalidParams, match=message):
+        classify(space, d=2)  # refused before the degree is used
+    with pytest.raises(InvalidParams, match=message):
+        report(space, table)
 
 
 def test_classify_bracket_without_refinement(table):

@@ -1,6 +1,8 @@
 """Every row of ``spaces.FAMILIES`` and of ``spaces.COINCIDENCES``
 against a hand-written table, and each place that reads them."""
 
+import re
+
 import pytest
 
 from hssatlas import cli, oracle
@@ -143,6 +145,20 @@ def test_a_new_family_is_one_row(monkeypatch):
     assert [(row.n, row.degree) for row in scan.rows] == [(2, 4), (4, 4), (6, 4)]
     assert [row.sb.clause for row in scan.rows] == ["Thm1(i)", "Thm1(ii)", "Thm1(ii)"]
     assert scan.footnotes == ("the exact clause Thm1(i) never fires in the scanned range", note)
+
+
+def test_a_family_without_parameters_builds_its_factor(monkeypatch):
+    """A row of arity 0 (as the exceptional spaces would need) builds a
+    factor with no s to bound, and refuses one with a parameter."""
+    toy = Family(0, "()", 1, lambda: 16, lambda: 2, lambda: FactorialRatio((78,), (77,)), "x")
+    monkeypatch.setitem(FAMILIES, "E", toy)
+
+    factor = IrreducibleSpace("E", ())
+    assert (factor.render(), factor.dimension, factor.rank) == ("E()", 16, 2)
+    assert report(SpaceExpr((factor,))).degree == 78
+    for params in ((1,), (0, 1)):
+        with pytest.raises(InvalidParams, match=f"^type E takes \\(\\), got {re.escape(str(params))}$"):
+            IrreducibleSpace("E", params)
 
 
 # --- coincidences ----------------------------------------------------------
