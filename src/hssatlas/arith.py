@@ -7,51 +7,10 @@ multiplication followed by one exact division, and reconstruction from
 per-prime exponents.  Each serves as an independent cross-check of the
 other.
 
-The direct evaluator forms each side of the ratio with
-``_product_tree`` and divides once with ``exact_quotient``.  A side of
-two or more arguments that sum to ``PRODUCT_TREE_MIN_SUM`` or more is
-multiplied by a balanced binary tree over its arguments (binary
-splitting, after Luschny's notes on factorial algorithms): the argument
-tuple is halved until each half sums below the cutoff or holds one
-argument, each such leaf is one left-to-right ``math.prod`` of its
-factorials, and the leaves are multiplied pairwise, so that the large
-multiplications have operands of similar size, where Karatsuba pays.
-Any other side is a single leaf.
-
-The division is ``exact_quotient``, and the denominator's size alone
-picks its path.  Below ``EXACT_DIVISION_MIN_BITS`` denominator bits
-that is ``divmod`` and its remainder test.  At or above it the division
-is 2-adic (Jebelean, "An algorithm for exact division", J. Symbolic
-Computation 15, 1993), whatever the size of the quotient: with
-den = 2^e * d and d odd, a numerator that 2^e does not divide is not a
-multiple of den; otherwise the quotient is (num / 2^e) * d^-1 modulo a
-power of 2 just large enough to hold an exact quotient, with d^-1
-lifted by Newton-Hensel steps.  That is multiplications only, which
-CPython does by Karatsuba, in place of schoolbook long division.  The
-candidate is returned only if candidate * d equals num / 2^e in full:
-that product is the exactness check, as strong as a zero remainder.
-
-The prime-exponent evaluator, ``eval_ratio_legendre``, shares none of
-this.  It first cancels the arguments the two sides have in common (a
-Hua ratio of ``I(k,s)`` lists about 2s of them, and about 2k+1 are
-left), then takes the primes up to the largest argument left, top,
-from a table that a process sieves once, over the odd numbers only,
-and sieves again only for a larger top than it has seen.  The exponent
-of each prime comes from Legendre's formula in three parts.  The small
-arguments, those no larger than the number of primes up to top, are
-summed all at once through the identity
-sum_m c_m * floor(m / q) = sum_{j >= 1} S(jq), where S(x) is the sum
-of the counts c_m of the small arguments m >= x; S is built once and is
-never longer than the list of primes.  top and the other large
-arguments keep one Legendre sum each.  A prime p above the
-second-largest argument and the square root of top divides only top!,
-floor(top / p) times; the primes with the same quotient are
-consecutive, and each run of them is taken in one step.  The primes
-that share an exponent are multiplied together once, and the value is
-formed by square-and-multiply over the bits of the exponents, highest
-bit first: square it, then multiply in the product of the primes whose
-exponent has that bit set (Borwein, "On the complexity of calculating
-factorials", J. Algorithms 6, 1985).
+``eval_ratio_direct`` multiplies each side with ``_product_tree`` and
+divides with ``exact_quotient``; each of the two documents its own step.
+``eval_ratio_legendre`` documents the prime-exponent method, and
+``_primes_upto`` the process's prime table that it reads.
 """
 
 from __future__ import annotations
@@ -91,7 +50,7 @@ class FactorialRatio(NamedTuple):
 # The one gate of ``exact_quotient``: below this many denominator bits
 # ``divmod`` is the faster division, since the 2-adic path's shifts,
 # masks and inverse outweigh what Karatsuba saves; at or above it the
-# 2-adic path is taken for every quotient size, down to CP(n)'s 1 bit
+# 2-adic path pays for every quotient size, down to CP(n)'s 1 bit
 # (crossover measured on the family degree ratios, CPython 3.11).
 EXACT_DIVISION_MIN_BITS = 16384
 
@@ -109,7 +68,18 @@ def _inverse_mod_power_of_2(d: int, bits: int) -> int:
 
 def exact_quotient(num: int, den: int) -> int | None:
     """num / den for num >= 0 and den > 0, or None when den does not
-    divide num."""
+    divide num.
+
+    A denominator below ``EXACT_DIVISION_MIN_BITS`` bits is a ``divmod``
+    and its remainder test.  Any other division is 2-adic (Jebelean, "An
+    algorithm for exact division", J. Symbolic Computation 15, 1993):
+    with den = 2^e * d and d odd, a numerator that 2^e does not divide is
+    not a multiple of den; otherwise the quotient is (num / 2^e) * d^-1
+    modulo a power of 2 just large enough to hold an exact quotient.
+    That is multiplications only, which CPython does by Karatsuba, in
+    place of schoolbook long division.  The candidate is returned only
+    if candidate * d equals num / 2^e in full: that product is the
+    exactness check, as strong as a zero remainder."""
     if den.bit_length() < EXACT_DIVISION_MIN_BITS:
         quotient, remainder = divmod(num, den)
         return None if remainder else quotient
@@ -132,20 +102,20 @@ def exact_quotient(num: int, den: int) -> int | None:
     return q if q * d == a else None
 
 
-# A side of a ratio that has one argument, or whose factorial arguments
-# sum to fewer than this, is one left-to-right ``math.prod``; any other
-# side is a product tree with leaves that sum below it.  A growing
-# product times one factorial at a time multiplies operands of very
-# different sizes; pairing halves of similar size is faster from about
-# this sum on (crossover between argument sums of 2,300 and 3,200 on the
-# family degree ratios, CPython 3.11; the evaluation of II(149), whose
-# sides each sum to 32,782, is about 2.4x faster).
+# A growing product times one factorial at a time multiplies operands
+# of very different sizes; pairing halves of similar size is faster from
+# about this argument sum on (crossover between sums of 2,300 and 3,200
+# on the family degree ratios, CPython 3.11).
 PRODUCT_TREE_MIN_SUM = 2048
 
 
 def _product_tree(args: tuple[int, ...]) -> int:
-    """The product of m! over args, halving args until each half sums
-    below ``PRODUCT_TREE_MIN_SUM`` or holds one argument."""
+    """The product of m! over args by binary splitting (after Luschny's
+    notes on factorial algorithms): args is halved until each half sums
+    below ``PRODUCT_TREE_MIN_SUM`` or holds one argument, each such leaf
+    is one left-to-right ``math.prod``, and the leaves are multiplied
+    pairwise, so that the large multiplications have operands of
+    similar size, where Karatsuba pays."""
     if len(args) <= 1 or sum(args) < PRODUCT_TREE_MIN_SUM:
         return math.prod(map(math.factorial, args))
     half = len(args) // 2
@@ -153,12 +123,7 @@ def _product_tree(args: tuple[int, ...]) -> int:
 
 
 def eval_ratio_direct(ratio: FactorialRatio) -> int:
-    """Evaluate by big-integer multiplication and one exact division.
-
-    Each side is one ``_product_tree``, which decides between the tree
-    and a single ``math.prod``; a one-argument side (IV's 2!, the n! of
-    a multinomial) is decided before any sum is taken.
-    """
+    """Evaluate by big-integer multiplication and one exact division."""
     num, den = map(_product_tree, ratio)
     quotient = exact_quotient(num, den)
     if quotient is None:
@@ -168,11 +133,10 @@ def eval_ratio_direct(ratio: FactorialRatio) -> int:
 
 # The primes up to the largest limit sieved in this process, as one
 # binding (limit, primes), so that a process sieves once for all of its
-# ratios.  It keeps the list that one sieve to that limit makes: 1,686
-# primes up to 14,400 (I(120,240)), 17,984 up to 200,000.  It is
-# replaced whole and never changed in place, so a reader never sees a
-# limit with a shorter list; two threads that both re-sieve can leave the
-# smaller of their tables, which costs a later re-sieve and no wrong value.
+# ratios.  It is replaced whole and never changed in place, so a reader
+# never sees a limit with a shorter list; two threads that both re-sieve
+# can leave the smaller of their tables, which costs a later re-sieve
+# and no wrong value.
 _prime_table: tuple[int, list[int]] = (1, [])
 
 
@@ -180,21 +144,17 @@ def _primes_upto(limit: int) -> list[int]:
     """The primes up to limit, as a new list.
 
     A limit above the table's re-sieves and replaces the table: a sieve
-    over the odd numbers alone, where byte i stands for 2i + 1, with 2
-    put in front.  Any other limit is answered by bisection into the
-    table."""
+    of Eratosthenes where byte i stands for i.  Any other limit is
+    answered by bisection into the table."""
     global _prime_table
     sieved, primes = _prime_table
     if limit > sieved:
-        size = (limit + 1) // 2
-        sieve = bytearray((1,)) * size
-        sieve[0] = 0
-        for i in range(1, (math.isqrt(limit) + 1) // 2):
-            if sieve[i]:
-                p = 2 * i + 1
-                start = p * p // 2  # the odd multiples of p from p^2 on, p bytes apart
-                sieve[start::p] = bytes((size - 1 - start) // p + 1)
-        primes = [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
+        sieve = bytearray((1,)) * (limit + 1)
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+        primes = list(itertools.compress(range(limit + 1), sieve))
         _prime_table = limit, primes
     return primes[: bisect.bisect_right(primes, limit)]
 
@@ -210,32 +170,31 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
     The ratio is first reduced to net multiplicities: each distinct
     argument counts once per numerator occurrence and minus once per
     denominator occurrence, and the arguments whose count is 0, as well
-    as 0 and 1 (0! = 1! = 1), are dropped.  A negative argument raises
-    ``ValueError``, as ``math.factorial`` does, even where it would
-    cancel.  The primes up to the largest argument left come from the
-    process's prime table (``_primes_upto``), which is sieved, over the
-    odd numbers only, only when that argument is above every limit seen
-    so far; a ratio that cancels entirely returns 1 without a sieve.
+    as 0 and 1 (0! = 1! = 1), are dropped (a Hua ratio of ``I(k,s)``
+    lists about 2s arguments, and about 2k+1 are left).  A negative
+    argument raises ``ValueError``, as ``math.factorial`` does, even
+    where it would cancel.  The primes up to the largest argument left,
+    top, come from ``_primes_upto``; a ratio that cancels entirely
+    returns 1 without them.
 
     The exponent of p in m! is Legendre's sum of floor(m / q) over the
-    prime powers q = p^i.  The arguments other than the largest that
-    are no larger than the number of primes up to it are dense: over
-    them the suffix count S(x), the sum of the counts of the dense
-    arguments m >= x, gives sum_m count_m * floor(m / q) as
-    S(q) + S(2q) + S(3q) + ..., one slice sum per prime power.  S is
-    never longer than the list of primes.  The largest argument and
-    the others above that bound each keep one Legendre sum per prime,
-    up to the first argument below p, whose factorial p does not
-    divide.  A prime above both the second-largest argument and the
-    square root of the largest argument, top, divides only top!, and
-    exactly floor(top / p) times; such primes with equal quotients are
-    consecutive, so each run of them is found by bisection and takes
-    its exponent at once, in ascending order of the primes.  Primes
-    sharing a net exponent are multiplied together once.  The value is
-    then built by square-and-multiply over the bits of the net
-    exponents, from the highest bit down: at each bit it is squared and
-    multiplied by the product of the groups whose exponent has that bit
-    set, so that no prime power is formed on its own.  A ratio whose
+    prime powers q = p^i.  The arguments other than top that are no
+    larger than the number of primes up to it are dense: over them the
+    suffix count S(x), the sum of the counts of the dense arguments
+    m >= x, gives sum_m count_m * floor(m / q) as S(q) + S(2q) + ...,
+    one slice sum per prime power, and S is never longer than the list
+    of primes.  top and the other arguments above that bound each keep
+    one Legendre sum per prime, up to the first argument below p, whose
+    factorial p does not divide.  A prime above both the second-largest
+    argument and the square root of top divides only top!, exactly
+    floor(top / p) times; such primes with equal quotients are
+    consecutive, so each run of them is found by bisection and takes its
+    exponent at once.  Primes sharing a net exponent are multiplied
+    together once, and the value is built by square-and-multiply over
+    the bits of the net exponents, from the highest bit down: at each
+    bit it is squared and multiplied by the product of the groups whose
+    exponent has that bit set (Borwein, "On the complexity of
+    calculating factorials", J. Algorithms 6, 1985).  A ratio whose
     arguments do not all cancel but whose net exponents all do, such as
     6!/(5! * 3!), has no bit to walk and is 1.
     """

@@ -7,9 +7,6 @@ minimal-atlas theorem of Rudyak and Schlenk:
     clause (i):  Gamma >= 2n+1  =>  S_B = Gamma               ("Thm1(i)")
     clause (ii): otherwise  max(n+1, Gamma) <= S_B <= 2n+1    ("Thm1(ii)")
 
-Gamma comes from the embedding degree and the Gromov width through
-``invariants.gamma_from_degree``; for a width of pi it is degree + 1.
-
 A refinement table overlays sharper literature values onto clause (ii)
 brackets.  Every construction checks each record, so a table can only
 narrow a bracket, never contradict it, and never changes which clause fired.
@@ -348,12 +345,11 @@ def threshold_scan(
 
     ``first_exact`` is the least parameter from which the exact clause
     fires and keeps firing through the end of the range (None if the
-    final row is still a bracket).  The family's ``FAMILIES`` row gives
-    the least parameter and, as a last footnote, its ``scan_note``.  An
-    unknown family, a start, stop or k that is not an integer, a missing
-    or non-positive k for I or a k for any other family, a range that
-    starts below the family's least parameter or one of more than
-    ``MAX_SCAN_ROWS`` rows raises ``InvalidParams``.
+    final row is still a bracket).  An unknown family, a start, stop or
+    k that is not an integer, a missing or non-positive k for I or a k
+    for any other family, a range that starts below the family's least
+    parameter or one of more than ``MAX_SCAN_ROWS`` rows raises
+    ``InvalidParams``.
     """
     spec = FAMILIES.get(family) if isinstance(family, str) else None
     if spec is None:

@@ -1,9 +1,9 @@
 """Command line interface: compute, table and check subcommands.
 
-Exit codes: 0 success, 2 parse/validation error, 3 internal
-non-integral ratio (always a formula transcription bug), 4 cross-check
-deviation from the expected verdicts.  A reader that closes stdout
-early changes none of these, and nothing is printed on stderr.
+Exit codes: 0 success, 2 parse/validation error or out of memory, 3
+internal non-integral ratio (always a formula transcription bug), 4
+cross-check deviation from the expected verdicts.  A reader that closes
+stdout early changes none of these, and nothing is printed on stderr.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_output_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=FORMATS, default="human")
-        p.add_argument(
+        overlay = p.add_mutually_exclusive_group()
+        overlay.add_argument(
             "--refinements",
             metavar="PATH",
             help="refinement table file (overrides the ATLAS_REFINEMENTS variable)",
         )
-        p.add_argument(
+        overlay.add_argument(
             "--no-refinements",
             action="store_true",
             help="classify from the theorem alone, without the literature overlay",
@@ -116,6 +117,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     return 4 if kind == "check" and not result.ok else 0
 

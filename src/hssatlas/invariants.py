@@ -14,18 +14,7 @@ floor(Vol * n! / width^n) + 1 is floor(degree / w^n) + 1 for a width of
 w units of pi.  ``gamma_from_degree`` computes it from a given degree
 and width; with w = 1 it is the exact integer degree + 1 -- no floating
 point is involved anywhere.  It is the only place a degree becomes
-Gamma: ``atlas.classify`` takes S_B from it, and a report takes its
-printed Gamma from it.  No volume is stored: a report prints it from
-its degree and n.  A report evaluates the degree twice: once for itself
-and once inside ``atlas.classify``; a scan evaluates it once per row.
-
-Each family's degree is a ``FactorialRatio`` column of
-``spaces.FAMILIES`` (2! for a quadric); a product multiplies the factor
-degrees and the multinomial, each ratio with its own exact division.
-A product evaluates each distinct factor's ratio once and raises it to
-the factor's multiplicity (``IV(7)^10`` is one evaluation of 2!, not
-ten), so a report's two degree evaluations cost one ratio per distinct
-factor each, plus the multinomial.
+Gamma, and no volume is stored: a report prints it from its degree and n.
 """
 
 from __future__ import annotations
@@ -88,10 +77,5 @@ def gamma_from_degree(d: int, n: int, width_units: int) -> int:
 
 
 def gamma(space: SpaceExpr) -> int:
-    """floor(Vol * n! / width^n) + 1, evaluated exactly.
-
-    Vol * n! / pi^n is the integer ``degree`` and the width is one unit
-    of pi, so Gamma is degree + 1.  A caller that already holds the
-    degree uses ``gamma_from_degree`` instead.
-    """
+    """floor(Vol * n! / width^n) + 1, evaluated exactly: degree + 1."""
     return gamma_from_degree(degree(space), space.dimension, gromov_width_units(space))

@@ -1,20 +1,13 @@
 """Independent cross-checks: tableau counts and isomorphism probes.
 
-The type I degree equals the number of standard Young tableaux of the
-k x (s-k) rectangle.  Two counters that share no arithmetic with the
-factorial-ratio evaluators recompute that number: a walk over every
-placement path (a literal enumeration) and the hook-length formula.
-
-The low-rank coincidences of ``spaces.COINCIDENCES`` that carry a
-verdict are probed by evaluating dimension and degree on both sides.
-A row's verdict is the one expected of its probe, and its diagnostic
-carries it as ``expected``: the table expects one pair to disagree,
-where the type III closed form yields 1 against the quadric's 2.  The
-diagnostics report that defect; nothing here patches around it.
-
-``run_checks`` runs the whole suite -- both arithmetic paths over a
-sweep of ratios, the tableau counters against the type I degrees, and
-the isomorphism probes; any verdict but ``expected`` is unexpected.
+Two counters that share no arithmetic with the factorial-ratio
+evaluators recompute the type I degree, the number of standard Young
+tableaux of the k x (s-k) rectangle: a literal enumeration
+(``count_syt_bruteforce``) and the hook-length formula
+(``count_syt_hook``).  ``isomorphism_diagnostics`` probes the rows of
+``spaces.COINCIDENCES`` that carry a verdict; one pair is expected to
+disagree (the type III closed form yields 1 against the quadric's 2),
+and nothing here patches around it.  ``run_checks`` runs the whole suite.
 """
 
 from __future__ import annotations

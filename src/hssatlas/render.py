@@ -2,25 +2,11 @@
 
 Four formats: human (aligned text), json (stable keys, every exact
 integer as a decimal string so arbitrarily large degrees survive any
-consumer), csv, latex.  Every CSV table, with its ``# note:`` lines,
-comes from one writer (``_csv``) and every LaTeX table, with its
-footnotes, from one frame (``_tabular``); the cells of a result kind
-are built once and shared by its formats, and every integer is
-written by ``digits``.  A report's volume, in units of pi^n/n!, is its
-degree, so it is printed from ``degree`` and ``n``.  A report's
-renderers convert each distinct integer once per call, through a table
-(``_report_digits``) that dies with the call: an exact report prints
-its degree twice (as the degree and as the volume) and Gamma twice
-(gamma and S_B).  JSON comes from a small writer (``_json``) that
-emits exactly the bytes of ``json.dumps(obj, indent=2)`` for the dicts,
-lists, strings, booleans and None built here, quoting each string with
-the json module's own ASCII escaper, without the pure-Python encoder
-that ``indent`` selects; LaTeX escaping is one ``str.translate``.  Each
-check diagnostic carries its probe's expected verdict and the CSV
-header is written here, so the oracle module is imported only for type
-checking; ``json`` and ``csv`` load only for the formats and commands a
-process runs.  All renderers are deterministic: the same value always
-produces the same bytes.
+consumer), csv, latex.  Every CSV table comes from one writer (``_csv``)
+and every LaTeX table from one frame (``_tabular``); the cells of a
+result kind are built once and shared by its formats, and every integer
+is written by ``digits``.  All renderers are deterministic: the same
+value always produces the same bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from .atlas import Report, SBResult, ScanResult
 from .spaces import pair_label
 
-if TYPE_CHECKING:
+if TYPE_CHECKING:  # a check result carries all it prints, so `check` alone loads oracle
     from .oracle import CheckResult, Diagnostic
 
 _LATEX_SPECIALS = {
@@ -68,7 +54,10 @@ _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 def _json(obj: object) -> str:
     """The bytes of ``json.dumps(obj, indent=2)`` for the dicts (of str
-    keys), lists, strings, booleans and None the renderers build."""
+    keys), lists, strings, booleans and None the renderers build,
+    without the pure-Python encoder that ``indent`` selects.  Each
+    string is quoted by the json module's own ASCII escaper, imported
+    here so that only a json run loads json."""
     from json.encoder import encode_basestring_ascii as quote
 
     def write(obj: object, indent: str) -> str:
@@ -95,7 +84,8 @@ def _csv(
     text: Callable[[int], str] = digits,
 ) -> str:
     """A header, the rows (None writes as an empty field, an integer in
-    full by ``text``), then one '# note:' line per note."""
+    full by ``text``), then one '# note:' line per note; csv is imported
+    here so that only a csv run loads it."""
     import csv
     import io
 
@@ -172,7 +162,9 @@ def sb_cell(sb: SBResult) -> str:
 
 
 def _report_digits(report: Report) -> Callable[[int], str]:
-    """The digits of each integer a report prints, each converted once."""
+    """The digits of each integer a report prints, each converted once
+    per call: an exact report prints its degree twice (as the degree
+    and as the volume) and Gamma twice (gamma and S_B)."""
     sb = report.sb
     values = {report.n, 2 * report.n, report.rank, report.degree, report.gamma,
               report.gromov_width_units, sb.value, sb.lower, sb.upper}

@@ -1,17 +1,10 @@
 """Data model and parser for products of the classical families.
 
-``FAMILIES`` is the one place that knows which families exist, what
-their parameters look like, their embedding degree and its citation;
-the constructor, the factor order, the parser, the scans, the degree
-and the report read it.  A report cites each family's ``citation`` and
-warns of a factor whose s is at most its ``small_upto``; a scan starts
-at ``least`` and ends its footnotes with ``scan_note``.  Parameters are
-plain ints: ``IrreducibleSpace`` passes each through ``operator.index``
-and refuses anything else.  ``COINCIDENCES`` is the one list of spellings
-that name the same manifold: canonical form takes its rewrites from
-it, and ``check`` its probes, each expecting its row's verdict (any
-other verdict is marked UNEXPECTED).  An expression denotes a finite
-product of irreducible compact Hermitian symmetric spaces:
+``FAMILIES`` is the one place that knows which families exist, and
+``COINCIDENCES`` the one list of spellings that name the same manifold:
+canonical form takes its rewrites from it, and ``check`` its probes.
+An expression denotes a finite product of irreducible compact Hermitian
+symmetric spaces:
 
     expr := term (("x" | "*") term)*
     term := atom ("^" exponent)?
@@ -19,24 +12,19 @@ product of irreducible compact Hermitian symmetric spaces:
 
 A kind, a key of ``FAMILIES``, takes as many integers as its arity:
 ``I(k, s)``, ``II(s)``, ``III(s)``, ``IV(s)``.  Whitespace is
-insignificant and integers are ASCII digits.  ``CP(n)``
-is sugar for ``I(1, n+1)`` and an exponent repeats a factor.  A whole
-expression may expand to at most 64 factors as written (before the
-rewrites: ``IV(2)^64`` has 128 canonical factors) and nest parentheses
-at most 64 deep, so a typo can neither allocate an absurd product nor
-exhaust the stack; both limits are checked before anything is expanded.
-Every ``SpaceExpr`` is in canonical form, because construction rewrites
-it; its rendering is the key format used by every report, table and
+insignificant and integers are ASCII digits.  ``CP(n)`` is sugar for
+``I(1, n+1)`` and an exponent repeats a factor.  A whole expression may
+expand to at most 64 factors as written (before the rewrites:
+``IV(2)^64`` has 128 canonical factors) and nest parentheses at most 64
+deep, so a typo can neither allocate an absurd product nor exhaust the
+stack; both limits are checked before anything is expanded.  Every
+``SpaceExpr`` is in canonical form, because construction rewrites it;
+its rendering is the key format used by every report, table and
 refinement file.
 
-The parser is a recursive descent over a scanner: blanks, integers and
-kind words are each one compiled pattern matched at the current
-position, which also takes the blanks that follow, so parsing is linear
-in the length of the text (a run of 200,000 blanks is one match) and no
-step slices the text ahead of it.  A blank is exactly what
-``str.isspace`` accepts and a kind word is a run of ``str.isalpha``
-letters, as in the character-by-character parser it replaced, with the
-same messages and positions.
+``parse`` is a recursive descent (``_Parser``) over compiled patterns
+matched at the current position, so parsing is linear in the length of
+the text (a run of 200,000 blanks is one match).
 """
 
 from __future__ import annotations

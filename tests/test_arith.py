@@ -31,6 +31,16 @@ def empty_prime_table(monkeypatch):
     monkeypatch.setattr(arith, "_prime_table", (1, []))
 
 
+def test_the_sieve_starts_at_2(request, empty_prime_table):
+    """First in this file: with 0 or 1 in the table, every evaluation
+    below would raise p^i by p = 1 without end, so such a table fails
+    here and stops the run."""
+    primes = arith._primes_upto(30)
+    if primes[:1] != [2]:
+        request.session.shouldstop = f"the prime table begins {primes[:3]}; each evaluation would loop"
+    assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
 def test_factorial_agrees_with_prime_exponent_reconstruction():
     # 15! rebuilt purely from per-prime exponents, no multiplication chain
     assert eval_ratio_legendre(FactorialRatio((15,), ())) == 1307674368000

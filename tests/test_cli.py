@@ -117,6 +117,24 @@ def test_refinements_flag_beats_env_beats_builtin(capsys, tmp_path, monkeypatch)
     assert refinement("--refinements", str(flag_file))["values"] == ["8"]
 
 
+@pytest.mark.parametrize("command", [("compute", "I(2,4)"), ("table", "III", "1..1")])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--refinements", "/no/such/file.txt", "--no-refinements"),
+        ("--no-refinements", "--refinements", "/no/such/file.txt"),
+    ],
+)
+def test_refinements_and_no_refinements_together_are_a_usage_error(capsys, command, flags):
+    """The file named would never be read, so argparse refuses the pair
+    in either order, before any output."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*command, *flags])
+    out, err = capsys.readouterr()
+    assert (excinfo.value.code, out) == (2, "")
+    assert "not allowed with argument" in err.splitlines()[-1]
+
+
 # --- error handling --------------------------------------------------------
 
 
@@ -220,6 +238,33 @@ def test_a_type_ii_or_iii_parameter_too_large_for_a_tuple_is_a_usage_error(argv,
     )
     message = f"InvalidParams: degree of {factor}: too many factorial arguments\n"
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
+
+
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "report", exhaust)
+    assert run(capsys, "compute", "I(2,5)") == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
+@pytest.mark.parametrize("expr", ["I(2,100000000)", "III(1000000000000)"])
+def test_a_ratio_too_large_for_memory_exits_2_with_one_line(expr):
+    """The factor's ratio has fewer arguments than a tuple can hold but
+    more than fit in the child's 1 GiB of address space: one line, not
+    a traceback."""
+    resource = pytest.importorskip("resource")
+    cap = 2**30
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "hssatlas", "compute", expr],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", "error: out of memory\n")
 
 
 def test_a_non_integral_degree_exits_3(capsys, monkeypatch):
