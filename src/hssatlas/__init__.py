@@ -6,9 +6,9 @@ its canonical projective embedding (also its symplectic volume, in
 units of pi^n/n!), its Gamma invariant, and the resulting
 classification of the minimal number of Darboux charts S_B.
 
-Importing the package loads none of its modules: each public name is
-imported from its home module on first use (PEP 562), so a process pays
-only for the modules it touches.
+Importing the package loads none of its modules: each public name, and
+each module (``hssatlas.arith`` for ``help``), is imported on first use
+(PEP 562), so a process pays only for the modules it touches.
 """
 
 from importlib import import_module
@@ -33,8 +33,12 @@ _HOME = {
 
 __all__ = sorted(_HOME)
 
+_MODULES = {*_HOME.values(), "cli", "render"}
+
 
 def __getattr__(name: str) -> object:
+    if name in _MODULES:
+        return import_module(f"{__name__}.{name}")  # which binds it here too
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)

@@ -210,6 +210,8 @@ def eval_ratio_legendre(ratio: FactorialRatio) -> int:
         return 1
     top, top_count = terms[0]
     primes = _primes_upto(top)
+    if primes[0] < 2:  # p = 1 would make each power loop below run without end
+        raise RuntimeError(f"the prime table begins {primes[:3]}, not with 2")
     # the largest argument is always above len(primes), so the arguments
     # walked one Legendre sum each are a prefix of terms, the dense the rest
     split = sum(m > len(primes) for m, _ in terms)

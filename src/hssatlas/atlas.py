@@ -198,15 +198,15 @@ class RefinementTable(_RefinementTableFields):
         return cls._indexed(tuple(entries))
 
     @classmethod
-    def load(cls, path: str) -> "RefinementTable":
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_lines(handle, source=str(path))
+    def load(cls, path: str, source: str | None = None) -> "RefinementTable":
+        """Read a UTF-8 table file, skipping a byte-order mark at its
+        start; errors name ``source``, by default the path."""
+        with open(path, encoding="utf-8-sig") as handle:
+            return cls.from_lines(handle, source=str(path) if source is None else source)
 
     @classmethod
     def builtin(cls) -> "RefinementTable":
-        path = os.path.join(os.path.dirname(__file__), "data", "refinements.txt")
-        with open(path, encoding="utf-8") as handle:
-            return cls.from_lines(handle, source="<builtin>")
+        return cls.load(os.path.join(os.path.dirname(__file__), "data", "refinements.txt"), "<builtin>")
 
     @classmethod
     def resolve(cls, path: str | None = None) -> "RefinementTable":

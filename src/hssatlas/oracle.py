@@ -16,6 +16,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple
 
+from . import invariants  # eval_ratio is read there at each call, so check certifies what degree runs
 from .arith import NonIntegralRatio, eval_ratio_direct, eval_ratio_legendre
 from .invariants import degree_ratio, multinomial_ratio
 from .spaces import COINCIDENCES, type_i, type_ii, type_iii
@@ -140,7 +141,7 @@ def check_type_i_degree(k: int, s: int, brute_force: bool = True) -> str:
     ``brute_force`` is true and the min(k,s-k) x max(k,s-k) rectangle has
     at most 20 cells.  Returns "Pass" or "Mismatch".
     """
-    d = eval_ratio_direct(degree_ratio(type_i(k, s)))
+    d = invariants.eval_ratio(degree_ratio(type_i(k, s)))
     shape = RectShape(min(k, s - k), max(k, s - k))
     if count_syt_hook(shape) != d:
         return "Mismatch"
@@ -170,7 +171,7 @@ def isomorphism_diagnostics() -> list[Diagnostic]:
         if row.verdict is None:
             continue
         left, (right,) = row.spelling, row.factors
-        degree_left, degree_right = (eval_ratio_direct(degree_ratio(f)) for f in (left, right))
+        degree_left, degree_right = (invariants.eval_ratio(degree_ratio(f)) for f in (left, right))
         dims_match = left.dimension == right.dimension
         verdict = "Pass" if dims_match and degree_left == degree_right else "Mismatch"
         out.append(

@@ -32,13 +32,21 @@ def empty_prime_table(monkeypatch):
 
 
 def test_the_sieve_starts_at_2(request, empty_prime_table):
-    """First in this file: with 0 or 1 in the table, every evaluation
-    below would raise p^i by p = 1 without end, so such a table fails
-    here and stops the run."""
+    """First in this file: with 0 or 1 in the table, every prime-exponent
+    evaluation below raises, so such a table fails here and stops the
+    run."""
     primes = arith._primes_upto(30)
     if primes[:1] != [2]:
-        request.session.shouldstop = f"the prime table begins {primes[:3]}; each evaluation would loop"
+        request.session.shouldstop = f"the prime table begins {primes[:3]}; each evaluation would fail"
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_a_prime_table_holding_1_is_refused(monkeypatch):
+    """A table that does not begin with 2 raises instead of raising 1 to
+    ever higher powers."""
+    monkeypatch.setattr(arith, "_prime_table", (10, [1, 2, 3, 5, 7]))
+    with pytest.raises(RuntimeError, match=re.escape("the prime table begins [1, 2, 3], not with 2")):
+        eval_ratio_legendre(FactorialRatio((7,), (3,)))
 
 
 def test_factorial_agrees_with_prime_exponent_reconstruction():

@@ -302,6 +302,22 @@ def test_table_load_rejects_malformed_lines(tmp_path):
             RefinementTable.load(str(path))
 
 
+def test_a_table_file_may_begin_with_a_byte_order_mark(tmp_path):
+    text = "I(2,5) | [7,10] | c; .\nI(2,4) | {5,6} | d; .\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfI(2,5)")
+    assert RefinementTable.load(str(marked)) == RefinementTable.load(str(plain))
+
+
+def test_a_byte_order_mark_on_a_later_line_is_an_error_naming_it(tmp_path):
+    path = tmp_path / "refinements.txt"
+    path.write_text("# header\n\ufeffI(2,5) | [7,10] | c; .\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}:2: key '\\ufeffI(2,5)'")):
+        RefinementTable.load(str(path))
+
+
 def test_table_load_rejects_contradicting_values():
     # one line: the values spec as written, then the theorem's lower..upper
     cases = [

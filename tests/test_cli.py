@@ -249,11 +249,12 @@ def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux")
-@pytest.mark.parametrize("expr", ["I(2,100000000)", "III(1000000000000)"])
+@pytest.mark.parametrize("expr", ["I(2,100000000)", "III(1000000000000)", "I(2,10000000000000) x CP(1)"])
 def test_a_ratio_too_large_for_memory_exits_2_with_one_line(expr):
     """The factor's ratio has fewer arguments than a tuple can hold but
     more than fit in the child's 1 GiB of address space: one line, not
-    a traceback."""
+    a traceback.  A product builds every factor's ratio before it
+    evaluates any, so its multinomial, (2*10^13 - 3)!, is never started."""
     resource = pytest.importorskip("resource")
     cap = 2**30
     src = Path(cli.__file__).resolve().parent.parent

@@ -1,3 +1,4 @@
+import collections
 import copy
 import inspect
 import itertools
@@ -5,7 +6,7 @@ import math
 
 import pytest
 
-from hssatlas import oracle
+from hssatlas import arith, atlas, invariants, oracle
 from hssatlas.arith import NonIntegralRatio
 from hssatlas.oracle import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -18,7 +19,7 @@ from hssatlas.oracle import (
     isomorphism_diagnostics,
     run_checks,
 )
-from hssatlas.spaces import COINCIDENCES
+from hssatlas.spaces import COINCIDENCES, parse
 
 
 # Counts frozen from the exhaustive enumeration itself.
@@ -282,3 +283,33 @@ def test_shape_is_immutable_and_replace_validates():
     assert shape._replace(cols=5) == RectShape(2, 5)
     with pytest.raises(ValueError):
         shape._replace(cols=0)
+
+
+def test_check_certifies_the_evaluator_that_degree_uses(monkeypatch):
+    """degree, report, the type I check and the probes evaluate through
+    one name, invariants.eval_ratio, so patching it there reaches all
+    four; the arithmetic cross-check calls both arith paths by name."""
+    calls: collections.Counter = collections.Counter()
+
+    def counting(name, evaluate):
+        def wrapper(ratio):
+            calls[name] += 1
+            return evaluate(ratio)
+
+        return wrapper
+
+    monkeypatch.setattr(invariants, "eval_ratio", counting("production", invariants.eval_ratio))
+    monkeypatch.setattr(oracle, "eval_ratio_direct", counting("direct", arith.eval_ratio_direct))
+    monkeypatch.setattr(oracle, "eval_ratio_legendre", counting("legendre", arith.eval_ratio_legendre))
+
+    def through(run) -> dict:
+        calls.clear()
+        run()
+        return dict(calls)
+
+    # two distinct factors and the multinomial
+    assert through(lambda: invariants.degree(parse("I(2,5) x I(2,5) x CP(3)"))) == {"production": 3}
+    assert set(through(lambda: atlas.report(parse("II(6)")))) == {"production"}
+    assert through(lambda: check_type_i_degree(2, 5)) == {"production": 1}
+    assert through(isomorphism_diagnostics) == {"production": 12}
+    assert through(oracle._arith_cross_check) == {"direct": 56, "legendre": 56}
