@@ -20,6 +20,8 @@ I, whose scans fix k.  The clause that fired is ``SBResult.clause``.
 
 from __future__ import annotations
 
+import codecs
+import io
 import operator
 import os
 from types import MappingProxyType
@@ -200,9 +202,19 @@ class RefinementTable(_RefinementTableFields):
     @classmethod
     def load(cls, path: str, source: str | None = None) -> "RefinementTable":
         """Read a UTF-8 table file, skipping a byte-order mark at its
-        start; errors name ``source``, by default the path."""
-        with open(path, encoding="utf-8-sig") as handle:
-            return cls.from_lines(handle, source=str(path) if source is None else source)
+        start, into lines as text mode splits it (at LF, CRLF or a lone CR).
+        Errors name ``source``, by default the path, and the line; a byte
+        that is not UTF-8 is named before any record is read."""
+        source = str(path) if source is None else source
+        with open(path, "rb") as handle:
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
+        try:
+            text = data.decode()
+        except UnicodeDecodeError as exc:
+            before = data[: exc.start].decode()
+            line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+            raise ValueError(f"{source}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+        return cls.from_lines(io.StringIO(text, newline=None), source=source)
 
     @classmethod
     def builtin(cls) -> "RefinementTable":

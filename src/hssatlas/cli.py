@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import render
 from .arith import NonIntegralRatio
-from .atlas import RefinementTable, report, threshold_scan
 from .spaces import EmptyProduct, InvalidParams, SpaceSyntaxError, parse, read_int
+
+if TYPE_CHECKING:
+    from .atlas import RefinementTable
 
 FORMATS = ("human", "json", "csv", "latex")
 
@@ -80,6 +82,8 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _load_table(args: argparse.Namespace) -> RefinementTable | None:
+    from .atlas import RefinementTable
+
     if args.no_refinements:
         return None
     return RefinementTable.resolve(args.refinements)
@@ -89,14 +93,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # each command imports the layer it runs, so `check` loads no atlas
+        # and `compute` and `table` load no oracle
         if args.command == "compute":
+            from .atlas import report
+
             kind, result = "report", report(parse(args.expr), _load_table(args))
         elif args.command == "table":
+            from .atlas import threshold_scan
+
             family, k = _parse_family(args.family)
             start, stop = _parse_range(args.range)
             kind, result = "scan", threshold_scan(family, start, stop, k=k, table=_load_table(args))
         else:
-            from .oracle import run_checks  # only this command loads the oracles
+            from .oracle import run_checks
 
             kind, result = "check", run_checks()
         text = getattr(render, f"render_{kind}_{args.format}")(result)

@@ -69,12 +69,13 @@ def count_syt_bruteforce(shape: RectShape) -> int:
     the full rectangle, and the count is the number of such paths,
     independent of any formula.
 
-    The call first builds a move table: a local dict from each partial
-    shape (at most C(rows+cols, rows) of them) to the shapes one
-    placement away.  Only these edges of the lattice are cached.  The
-    walk then follows every path along them, one step per value, and
-    no count is ever stored, within a call or across calls: every
-    tableau is still reached as its own distinct path.
+    The call first builds a move table.  Each partial shape (at most
+    C(rows+cols, rows) of them) gets an integer id when it is first
+    reached, and the table lists, under each id, the ids of the shapes
+    one placement away, in row order.  Only these edges of the lattice
+    are cached.  The walk then follows every path along them, one step
+    per value, and no count is ever stored, within a call or across
+    calls: every tableau is still reached as its own distinct path.
 
     Two shortcuts make it faster and leave it literal.  Reflecting a
     filling in the diagonal maps the tableaux of a shape one to one onto
@@ -90,22 +91,23 @@ def count_syt_bruteforce(shape: RectShape) -> int:
             f"the enumeration limit is {BRUTE_FORCE_CELL_LIMIT}"
         )
     rows, cols = sorted((shape.rows, shape.cols))
-    moves: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-    pending = [(0,) * rows]
-    while pending:
-        partial = pending.pop()
-        if partial in moves:
-            continue
+    shapes = [(0,) * rows]
+    ids = {shapes[0]: 0}
+    moves: list[tuple[int, ...]] = []
+    for partial in shapes:  # grows as new shapes get their ids
         above = cols  # the first row may grow to the full width
         nexts = []
         for i, here in enumerate(partial):
             if here < above:
-                nexts.append(partial[:i] + (here + 1,) + partial[i + 1 :])
+                following = partial[:i] + (here + 1,) + partial[i + 1 :]
+                if following not in ids:
+                    ids[following] = len(shapes)
+                    shapes.append(following)
+                nexts.append(ids[following])
             above = here
-        moves[partial] = tuple(nexts)
-        pending.extend(nexts)
+        moves.append(tuple(nexts))
 
-    def walk(partial: tuple[int, ...], empty: int) -> int:
+    def walk(partial: int, empty: int) -> int:
         if empty == 1:
             return 1  # the last value goes to the corner
         total = 0
@@ -113,7 +115,7 @@ def count_syt_bruteforce(shape: RectShape) -> int:
             total += walk(following, empty - 1)
         return total
 
-    return walk((0,) * rows, shape.cells)
+    return walk(0, shape.cells)
 
 
 def count_syt_hook(shape: RectShape) -> int:

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .atlas import Report, SBResult, ScanResult
 from .spaces import pair_label
 
-if TYPE_CHECKING:  # a check result carries all it prints, so `check` alone loads oracle
+if TYPE_CHECKING:  # each result carries all it prints, so a command loads only the layer it runs
+    from .atlas import Report, SBResult, ScanResult
     from .oracle import CheckResult, Diagnostic
 
 _LATEX_SPECIALS = {

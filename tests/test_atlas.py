@@ -318,6 +318,21 @@ def test_a_byte_order_mark_on_a_later_line_is_an_error_naming_it(tmp_path):
         RefinementTable.load(str(path))
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("padding", [1, 2_000])
+def test_a_byte_that_is_not_utf8_is_an_error_naming_its_line(tmp_path, bom, newline, padding):
+    # the line of the first bad byte as text mode splits the file, also
+    # past the decoder's first buffer; it is named before the record on
+    # line 1, which contradicts the theorem, and before the second bad byte
+    lines = [b"I(2,4) | {4} | c; ."] + [b"# padding"] * padding + [b"I(2,5) | [7,10] | caf\xff; .\xfe"]
+    path = tmp_path / "refinements.txt"
+    path.write_bytes(bom + newline.join(lines) + newline)
+    message = f"{path}:{padding + 2}: byte 0xff is not UTF-8 (invalid start byte)"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        RefinementTable.load(str(path))
+
+
 def test_table_load_rejects_contradicting_values():
     # one line: the values spec as written, then the theorem's lower..upper
     cases = [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from hssatlas import cli, oracle
+from hssatlas import atlas, cli, oracle
 from hssatlas.arith import FactorialRatio
 from hssatlas.spaces import FAMILIES, Coincidence, Family, type_ii, type_iv
 
@@ -244,7 +244,7 @@ def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "report", exhaust)
+    monkeypatch.setattr(atlas, "report", exhaust)
     assert run(capsys, "compute", "I(2,5)") == (2, "", "error: out of memory\n")
 
 
@@ -300,6 +300,17 @@ def test_an_empty_refinement_path_is_a_missing_file(capsys, tmp_path, monkeypatc
             2,
             "",
             "error: [Errno 2] No such file or directory: ''\n",
+        )
+
+
+def test_a_refinement_file_that_is_not_utf8_exits_2_naming_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"I(2,4) | {6} | c; .\nI(2,5) | {7} | caf\xff; .\n")
+    for command in (["compute", "I(2,4)"], ["table", "I:k=2", "3..5"]):
+        assert run(capsys, *command, "--refinements", str(path)) == (
+            2,
+            "",
+            f"error: {path}:2: byte 0xff is not UTF-8 (invalid start byte)\n",
         )
 
 
@@ -628,7 +639,14 @@ def _loaded_after(code: str, *argv: str) -> list[str]:
     return ast.literal_eval(proc.stdout.splitlines()[-1])
 
 
-_CLI_MODULES = [f"hssatlas.{name}" for name in ("arith", "atlas", "cli", "invariants", "render", "spaces")]
+_CLI_MODULES = [f"hssatlas.{name}" for name in ("arith", "cli", "render", "spaces")]
+# What each command adds to them for the layer it runs; check's oracle is
+# in its parameter below, with the formats' modules.
+_COMMAND_MODULES = {
+    "compute": ["hssatlas.atlas", "hssatlas.invariants"],
+    "table": ["hssatlas.atlas", "hssatlas.invariants"],
+    "check": ["hssatlas.invariants"],
+}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -659,4 +677,4 @@ def test_importing_the_package_loads_no_submodule():
 )
 def test_each_command_loads_only_what_it_uses(command, extra):
     loaded = _loaded_after("from hssatlas import cli\ncli.main(sys.argv[1:])", *command.split())
-    assert loaded == sorted(_CLI_MODULES + extra.split())
+    assert loaded == sorted(_CLI_MODULES + _COMMAND_MODULES[command.split()[0]] + extra.split())

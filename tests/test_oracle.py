@@ -3,6 +3,7 @@ import copy
 import inspect
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -157,6 +158,49 @@ def test_enumeration_keeps_no_count_between_calls():
     assert after_rest == rest
     assert inspect.isfunction(count_syt_bruteforce)
     assert rest[1:] == [{}, None, None]
+
+
+def _tableaux_of(shape):
+    """f^shape by the hook-length formula; ``shape`` is a tuple of
+    weakly decreasing row lengths."""
+    columns = [sum(1 for length in shape if length > j) for j in range(shape[0] if shape else 0)]
+    hooks = math.prod(length - j + columns[j] - i - 1 for i, length in enumerate(shape) for j in range(length))
+    return math.factorial(sum(shape)) // hooks
+
+
+def _walk_calls(shape):
+    """How many times ``count_syt_bruteforce`` enters its inner walk."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "walk" and frame.f_code.co_filename == oracle.__file__:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        count_syt_bruteforce(shape)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("rows,cols,expected", [(3, 4, 1_573), (4, 4, 81_696)])
+def test_enumeration_walks_every_path_within_a_call(rows, cols, expected):
+    """The walk is entered once for every path from the empty shape to
+    each partial shape short of the full rectangle (the last value's
+    placement is the one shortcut), so it is entered sum f^lambda times
+    over every shape lambda strictly inside rows x cols.  A walk that
+    stored a count for a shape it had already seen would be entered
+    fewer times."""
+    inside = [
+        shape
+        for lengths in itertools.combinations_with_replacement(range(cols, -1, -1), rows)
+        if (shape := tuple(length for length in lengths if length)) != (cols,) * rows
+    ]
+    assert sum(map(_tableaux_of, inside)) == expected
+    assert _walk_calls(RectShape(rows, cols)) == expected
 
 
 def _hook_product_cell_by_cell(rows, cols):
