@@ -19,6 +19,7 @@ Gamma, and no volume is stored: a report prints it from its degree and n.
 
 from __future__ import annotations
 
+import sys
 from typing import Sequence
 
 from .arith import FactorialRatio, eval_ratio_direct
@@ -45,19 +46,22 @@ def multinomial_ratio(dims: Sequence[int]) -> FactorialRatio:
 
 
 def degree(space: SpaceExpr) -> int:
-    """Degree of the canonical projective embedding of the product.
-
-    For a single factor this is its ratio's value; for a product it is
-    multinomial(n_1, ..., n_m) times the factor degrees, which is the
-    Segre-composition of the factor embeddings.  Each distinct factor's
-    ratio is evaluated once and raised to its multiplicity.
+    """Degree of the canonical projective embedding of the product: each
+    distinct factor's ratio raised to its count, times, for a product,
+    multinomial(n_1, ..., n_m), the Segre-composition of the factor
+    embeddings.  Every ratio is built before any is evaluated, and a
+    product whose dimension exceeds ``sys.maxsize``, the largest
+    argument of ``math.factorial``, raises ``InvalidParams``.
     """
     factors = space.factors
-    if len(factors) == 1:
-        return eval_ratio(degree_ratio(factors[0]))
-    powers = [(degree_ratio(f), factors.count(f)) for f in dict.fromkeys(factors)]
-    value = eval_ratio(multinomial_ratio([f.dimension for f in factors]))
-    for ratio, m in powers:
+    ratios = [(degree_ratio(f), factors.count(f)) for f in dict.fromkeys(factors)]
+    if len(factors) > 1:
+        dims = [f.dimension for f in factors]
+        if sum(dims) > sys.maxsize:
+            raise InvalidParams(f"degree of {space}: dimension {sum(dims)} exceeds {sys.maxsize}, the factorial limit")
+        ratios.append((multinomial_ratio(dims), 1))
+    value = 1
+    for ratio, m in ratios:
         value *= eval_ratio(ratio) ** m
     return value
 

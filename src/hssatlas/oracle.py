@@ -140,11 +140,11 @@ def check_type_i_degree(k: int, s: int, brute_force: bool = True) -> str:
     """Compare degree(I(k,s)) against the tableau counters.
 
     The hook count always runs; the brute-force count joins in when
-    ``brute_force`` is true and the min(k,s-k) x max(k,s-k) rectangle has
-    at most 20 cells.  Returns "Pass" or "Mismatch".
+    ``brute_force`` is true and the k x (s-k) rectangle has at most 20
+    cells.  Returns "Pass" or "Mismatch".
     """
     d = invariants.eval_ratio(degree_ratio(type_i(k, s)))
-    shape = RectShape(min(k, s - k), max(k, s - k))
+    shape = RectShape(k, s - k)  # both counts are symmetric in the sides
     if count_syt_hook(shape) != d:
         return "Mismatch"
     if brute_force and shape.cells <= BRUTE_FORCE_CELL_LIMIT and count_syt_bruteforce(shape) != d:
@@ -176,9 +176,7 @@ def isomorphism_diagnostics() -> list[Diagnostic]:
         degree_left, degree_right = (invariants.eval_ratio(degree_ratio(f)) for f in (left, right))
         dims_match = left.dimension == right.dimension
         verdict = "Pass" if dims_match and degree_left == degree_right else "Mismatch"
-        out.append(
-            Diagnostic(left.render(), right.render(), dims_match, degree_left, degree_right, verdict, row.verdict)
-        )
+        out.append(Diagnostic(*row.pair, dims_match, degree_left, degree_right, verdict, row.verdict))
     return out
 
 

@@ -161,19 +161,16 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
-def _report_digits(report: Report) -> Callable[[int], str]:
-    """The digits of each integer a report prints, each converted once
-    per call: an exact report prints its degree twice (as the degree
-    and as the volume) and Gamma twice (gamma and S_B)."""
-    sb = report.sb
-    values = {report.n, 2 * report.n, report.rank, report.degree, report.gamma,
-              report.gromov_width_units, sb.value, sb.lower, sb.upper}
-    values.discard(None)
-    return dict(zip(values, map(digits, values))).__getitem__
+def _digits_once() -> Callable[[int], str]:
+    """``digits`` for one render call, converting each integer on its
+    first use only: an exact report prints its degree twice (as the
+    degree and as the volume) and Gamma twice (gamma and S_B)."""
+    memo: dict[int, str] = {}
+    return lambda n: memo[n] if n in memo else memo.setdefault(n, digits(n))
 
 
 def render_report_json(report: Report) -> str:
-    text = _report_digits(report)
+    text = _digits_once()
     return _json({
         "space": report.space,
         "n": text(report.n),
@@ -191,7 +188,7 @@ def render_report_json(report: Report) -> str:
 
 def render_report_human(report: Report) -> str:
     sb = report.sb
-    text = _report_digits(report)
+    text = _digits_once()
     n = text(report.n)
     fields = [
         ("space", report.space),
@@ -231,12 +228,12 @@ def render_report_csv(report: Report) -> str:
         "case": report.sb.clause,
         "warnings": "; ".join(report.warnings),
     }
-    return _csv(columns, [columns.values()], text=_report_digits(report))
+    return _csv(columns, [columns.values()], text=_digits_once())
 
 
 def render_report_latex(report: Report) -> str:
     sb = report.sb
-    text = _report_digits(report)
+    text = _digits_once()
     if sb.kind == "Exact":
         sb_tex = f"$S_B = {text(sb.value)}$"
     elif sb.refinement is None:

@@ -213,6 +213,32 @@ def test_a_type_i_parameter_too_large_for_a_tuple_is_a_usage_error(capsys, argv,
 
 
 @pytest.mark.parametrize(
+    "expr,space,n",
+    [
+        ("CP(1) x IV(99999999999999999999)", "I(1,2) x IV(99999999999999999999)", 10**20),
+        ("IV(99999999999999999999)^2", "IV(99999999999999999999) x IV(99999999999999999999)", 2 * (10**20 - 1)),
+        ("II(5) x IV(10000000000000000000)", "II(5) x IV(10000000000000000000)", 10**19 + 10),
+    ],
+)
+def test_a_product_of_dimension_above_maxsize_is_a_usage_error(capsys, expr, space, n):
+    """The multinomial n! is refused before any ratio is evaluated,
+    since math.factorial takes no argument above sys.maxsize: one line
+    naming the space, not a traceback."""
+    message = f"InvalidParams: degree of {space}: dimension {n} exceeds {sys.maxsize}, the factorial limit\n"
+    assert run(capsys, "compute", expr) == (2, "", message)
+
+
+def test_a_refinement_key_of_dimension_above_maxsize_exits_2_naming_its_line(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("I(1,*) | n_plus_1 | rule; .\nCP(1) x IV(99999999999999999999) | {3} | c; .\n", encoding="utf-8")
+    message = (
+        f"error: {path}:2: degree of I(1,2) x IV(99999999999999999999): "
+        f"dimension {10**20} exceeds {sys.maxsize}, the factorial limit\n"
+    )
+    assert run(capsys, "compute", "CP(1)", "--refinements", str(path)) == (2, "", message)
+
+
+@pytest.mark.parametrize(
     "argv,factor",
     [
         (("compute", "II(100000000000000000000)"), "II(100000000000000000000)"),

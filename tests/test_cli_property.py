@@ -7,11 +7,17 @@ missing path) and with neither.  The exit code must be 0, 2, 3 or 4 (a
 ``SystemExit`` from argparse counts as its code), no other exception
 may escape, and each example must finish within the deadline.
 
-Every drawn integer has at most two digits and every exponent is at
-most 4.  The size of a parameter is still unbounded in the program:
-``compute I(2000,4000)`` runs for minutes, because no budget yet bounds
-the work of a degree before it is evaluated.  Larger draws would time
-out on that known gap instead of testing the exit-code contract.
+Every drawn integer has at most two digits or at least 20 (10^19 and
+up, above ``sys.maxsize``), and every exponent is at most 4.  A 20-digit
+parameter is refused or answered at once: a factor's ratio would have
+more factorial arguments than a tuple can hold, a product's multinomial
+n! is above the largest argument of ``math.factorial``, and a lone
+``IV(s)`` has degree 2.  The sizes in between are not drawn, because no
+budget yet bounds the work of a degree before it is evaluated
+(ROADMAP item 15): ``compute I(2000,4000)`` runs for minutes, and
+``IV(5000000000000000000) x CP(1)`` starts a factorial of 5 * 10^18.
+Such draws would time out on that known gap instead of testing the
+exit-code contract.
 """
 
 import contextlib
@@ -26,8 +32,8 @@ from hssatlas import cli
 
 EXIT_CODES = {0, 2, 3, 4}
 
-# Two digits at most; a few malformed integers too.
-params = st.integers(0, 99)
+# Two digits at most, or 20 digits and more; a few malformed integers too.
+params = st.integers(0, 99) | st.integers(10**19, 10**30)
 ints = params.map(str) | st.sampled_from(["", "x", "-1", "+5", "1_0"])
 
 valid_atoms = st.one_of(

@@ -1,10 +1,12 @@
 import itertools
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hssatlas import invariants
 from hssatlas.arith import FactorialRatio, eval_ratio_direct, eval_ratio_legendre
 from hssatlas.invariants import (
     degree,
@@ -139,6 +141,34 @@ def test_product_degree_composes_associatively():
         nx, nyz = x.dimension, y.dimension + z.dimension
         composed = math.comb(nx + nyz, nx) * eval_ratio_direct(degree_ratio(x)) * inner
         assert composed == direct
+
+
+def test_degree_evaluates_each_distinct_factor_and_the_multinomial_once(monkeypatch):
+    evaluated = []
+
+    def recording(ratio):
+        evaluated.append(ratio)
+        return eval_ratio_direct(ratio)
+
+    monkeypatch.setattr(invariants, "eval_ratio", recording)
+    assert degree(parse("CP(2)")) == 1 and evaluated == [degree_ratio(type_i(1, 3))]
+    evaluated.clear()
+    assert degree(parse("CP(1)^2 x IV(3)")) == 2 * 20  # the quadric times 5!/(1!·1!·3!)
+    assert evaluated == [degree_ratio(type_i(1, 2)), degree_ratio(type_iv(3)), multinomial_ratio((1, 1, 3))]
+
+
+@pytest.mark.parametrize("text", ["CP(1) x IV(99999999999999999999)", "IV(10000000000000000000)^2"])
+def test_a_product_of_dimension_above_maxsize_is_refused_before_any_evaluation(monkeypatch, text):
+    def unreachable(ratio):
+        raise AssertionError(f"{ratio} evaluated")
+
+    monkeypatch.setattr(invariants, "eval_ratio", unreachable)
+    with pytest.raises(InvalidParams, match=rf"^degree of .*: dimension \d+ exceeds {sys.maxsize}, the factorial limit$"):
+        degree(parse(text))
+
+
+def test_a_single_factor_of_dimension_above_maxsize_has_its_degree():
+    assert degree(parse("IV(99999999999999999999)")) == 2
 
 
 @given(expr=space_exprs)

@@ -149,6 +149,24 @@ def test_a_report_render_converts_each_distinct_integer_once(monkeypatch, fmt):
     assert len(converted) == 2 * len(set(converted))
 
 
+def test_a_report_render_converts_only_the_integers_its_format_prints(monkeypatch):
+    """JSON prints no 2n, so rendering II(6) (n = 15) as JSON never
+    converts 30; the human format, which prints it, does."""
+    rep = report(parse("II(6)"), BUILTIN)
+    assert 2 * rep.n == 30 and 30 not in (rep.rank, rep.degree, rep.gamma, rep.gromov_width_units)
+    converted = []
+
+    def counting_digits(n):
+        converted.append(n)
+        return str(n)
+
+    monkeypatch.setattr(render, "digits", counting_digits)
+    render.render_report_json(rep)
+    assert 30 not in converted and rep.n in converted
+    render.render_report_human(rep)
+    assert 30 in converted
+
+
 # --- the JSON writer and the LaTeX escape -----------------------------------
 
 # Text with every class of character json.dumps escapes: quotes,
