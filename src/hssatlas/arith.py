@@ -50,8 +50,8 @@ class FactorialRatio(NamedTuple):
 # The one gate of ``exact_quotient``: below this many denominator bits
 # ``divmod`` is the faster division, since the 2-adic path's shifts,
 # masks and inverse outweigh what Karatsuba saves; at or above it the
-# 2-adic path pays for every quotient size, down to CP(n)'s 1 bit
-# (crossover measured on the family degree ratios, CPython 3.11).
+# 2-adic path is taken whatever the quotient's size (crossover measured
+# on the family degree ratios, CPython 3.11).
 EXACT_DIVISION_MIN_BITS = 16384
 
 
@@ -123,9 +123,19 @@ def _product_tree(args: tuple[int, ...]) -> int:
 
 
 def eval_ratio_direct(ratio: FactorialRatio) -> int:
-    """Evaluate by big-integer multiplication and one exact division."""
-    num, den = map(_product_tree, ratio)
-    quotient = exact_quotient(num, den)
+    """Evaluate by big-integer multiplication and one exact division.
+
+    A ratio whose two sides list the same arguments in the same order,
+    as the Hua ratio of every CP^n does, is 1 before any factorial is
+    formed.  Only tuple equality is tested, so a reordered side, such
+    as II(3)'s, is still multiplied out.  A negative argument skips
+    that answer and reaches ``math.factorial``: a factorial that does
+    not exist is never cancelled away, so (-3)!/(-3)! raises
+    ``ValueError`` here as in ``eval_ratio_legendre``."""
+    num, den = ratio
+    if num == den and min(num, default=0) >= 0:
+        return 1
+    quotient = exact_quotient(_product_tree(num), _product_tree(den))
     if quotient is None:
         raise NonIntegralRatio(f"{ratio} is not an integer")
     return quotient

@@ -161,12 +161,40 @@ def sb_cell(sb: SBResult) -> str:
 # --- reports ---------------------------------------------------------------
 
 
+# str()'s default limit on the digits it writes; ``digits`` writes a
+# longer integer through Decimal, in time that grows faster than its length
+_STR_DIGITS_LIMIT = 4300
+
+
+def _successor_digits(text: str) -> str:
+    """The digits of n + 1 from those of a positive n: the trailing 9s
+    become 0s and the digit left of them goes up by one, or a 1 leads
+    when every digit was 9."""
+    body = text.rstrip("9")
+    zeros = "0" * (len(text) - len(body))
+    if not body:
+        return "1" + zeros
+    return body[:-1] + "123456789"[int(body[-1])] + zeros
+
+
 def _digits_once() -> Callable[[int], str]:
     """``digits`` for one render call, converting each integer on its
     first use only: an exact report prints its degree twice (as the
-    degree and as the volume) and Gamma twice (gamma and S_B)."""
+    degree and as the volume) and Gamma = degree + 1 twice (gamma and
+    S_B).  A positive integer over str's 4,300 digits, which ``digits``
+    writes through Decimal, also leaves the digits of its successor, so
+    a large report converts once."""
     memo: dict[int, str] = {}
-    return lambda n: memo[n] if n in memo else memo.setdefault(n, digits(n))
+
+    def text(n: int) -> str:
+        if n in memo:
+            return memo[n]
+        memo[n] = written = digits(n)
+        if len(written) > _STR_DIGITS_LIMIT and n > 0:
+            memo[n + 1] = _successor_digits(written)
+        return written
+
+    return text
 
 
 def render_report_json(report: Report) -> str:
@@ -234,6 +262,7 @@ def render_report_csv(report: Report) -> str:
 def render_report_latex(report: Report) -> str:
     sb = report.sb
     text = _digits_once()
+    degree, n = text(report.degree), text(report.n)  # before Gamma and S_B, which follow from the degree's digits
     if sb.kind == "Exact":
         sb_tex = f"$S_B = {text(sb.value)}$"
     elif sb.refinement is None:
@@ -241,7 +270,6 @@ def render_report_latex(report: Report) -> str:
     else:
         refined = latex_escape(_braced(sb.refinement.values))
         sb_tex = f"$S_B \\in {refined} \\subset [{text(sb.lower)}, {text(sb.upper)}]$"
-    degree, n = text(report.degree), text(report.n)
     rows = [
         ("space", latex_escape(report.space)),
         ("$n$", n),

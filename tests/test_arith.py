@@ -86,6 +86,38 @@ def test_legendre_cancels_equal_arguments_before_sieving():
     assert eval_ratio_legendre(FactorialRatio((10**12,), (10**12,))) == 1
 
 
+@pytest.mark.parametrize(
+    "ratio",
+    [FactorialRatio((1,), (1,)), degree_ratio(type_i(1, 1000)), FactorialRatio((10**12,), (10**12,))],
+    ids=["1!/1!", "CP(999)", "(10**12)!/(10**12)!"],
+)
+def test_direct_path_answers_equal_sides_without_a_product(monkeypatch, ratio):
+    """The direct twin of the prime-exponent test above: no factorial,
+    no product and no division is formed."""
+
+    def refuse(*args):
+        raise AssertionError("formed a factorial or divided")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    monkeypatch.setattr(arith, "_product_tree", refuse)
+    monkeypatch.setattr(arith, "exact_quotient", refuse)
+    assert eval_ratio_direct(ratio) == 1
+
+
+def test_equal_sides_are_exactly_the_projective_spellings():
+    """Up to s = 60, the family ratios whose two sides are equal tuples
+    are those of CP^n: I(k,s) with min(k, s-k) = 1, II(2) and III(1).
+    No quadric and no multinomial of ``check`` has equal sides, so the
+    direct path multiplies out every other ratio."""
+    spaces = [type_i(k, s) for s in range(2, 61) for k in range(1, s)]
+    spaces += [type_ii(s) for s in range(2, 61)] + [type_iii(s) for s in range(1, 61)]
+    spaces += [IrreducibleSpace("IV", (s,)) for s in range(3, 61)]
+    equal = {str(f) for f in spaces if len(set(degree_ratio(f))) == 1}
+    projective = {str(type_i(k, s)) for s in range(2, 61) for k in (1, s - 1)}
+    assert equal == projective | {"II(2)", "III(1)"}
+    assert not [dims for dims in CHECK_MULTINOMIALS if len(set(multinomial_ratio(dims))) == 1]
+
+
 @pytest.mark.parametrize("evaluate", [eval_ratio_direct, eval_ratio_legendre])
 @pytest.mark.parametrize(
     "ratio",
@@ -252,7 +284,7 @@ def test_legendre_never_forms_a_factorial(monkeypatch):
     monkeypatch.setattr(arith, "_product_tree", refuse)
     monkeypatch.setattr(arith, "exact_quotient", refuse)
     with pytest.raises(AssertionError, match="formed a factorial"):
-        eval_ratio_direct(ratios[0])  # the patches reach what the direct path calls
+        eval_ratio_direct(degree_ratio(type_i(2, 4)))  # the patches reach what the direct path calls
     assert [eval_ratio_legendre(r) for r in ratios] == expected
 
 

@@ -266,6 +266,20 @@ def test_a_type_ii_or_iii_parameter_too_large_for_a_tuple_is_a_usage_error(argv,
     assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (2, b"", message)
 
 
+def test_a_large_projective_space_computes_in_a_child_process():
+    """CP(100000)'s Hua ratio lists 1!...100000! on both sides; a
+    process that multiplied them out would not end within the timeout."""
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "hssatlas", "compute", "CP(100000)", "--format", "json"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["degree"] == "1"
+
+
 def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
     def exhaust(*args):
         raise MemoryError

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hssatlas import invariants
+from hssatlas import arith, invariants
 from hssatlas.arith import FactorialRatio, eval_ratio_direct, eval_ratio_legendre
 from hssatlas.invariants import (
     degree,
@@ -103,6 +103,14 @@ def test_multinomial_ratio_shape():
 def test_projective_spaces_have_degree_one():
     for s in range(2, 15):
         assert eval_ratio_direct(degree_ratio(type_i(1, s))) == 1
+
+
+def test_a_projective_degree_multiplies_no_factorials(monkeypatch):
+    def refuse(args):
+        raise AssertionError(f"multiplied out {len(args)} factorials")
+
+    monkeypatch.setattr(arith, "_product_tree", refuse)
+    assert degree(parse("CP(1000)")) == 1
 
 
 def test_two_row_grassmannian_degrees_are_catalan_numbers():

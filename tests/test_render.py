@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hssatlas import render
@@ -126,6 +126,56 @@ def test_digits_agrees_with_str_on_both_sides_of_the_limit(default_digit_limit):
     for n in (0, 7, 10**4299, 10**4300 - 1, 10**4300, 3**20000):
         assert render.digits(n) == _decimal(n)
     assert sys.get_int_max_str_digits() == default_digit_limit
+
+
+def test_successor_digits_match_str_below_100000():
+    # every all-9s boundary of up to 5 digits, and every run of trailing 9s
+    assert all(render._successor_digits(str(n)) == str(n + 1) for n in range(1, 100_001))
+
+
+def _successor_is_stored(n: int) -> bool:
+    """Whether writing n leaves the digits of n + 1, equal to
+    ``str(n + 1)`` under no digit limit, in the render memo."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = render._digits_once()
+        assert len(text(n)) > 4300
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "digits", lambda n: pytest.fail(f"converted {n}"))
+            return text(n + 1) == str(n + 1)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("k", [*range(4301, 4311), 100_000])
+def test_an_all_9s_integer_over_the_digit_limit_leaves_its_successor(k):
+    assert _successor_is_stored(10**k - 1)
+
+
+@given(bits=st.integers(14_300, 332_000), nines=st.integers(0, 40), rng=st.randoms(use_true_random=False))
+@settings(max_examples=10, deadline=None)
+def test_an_integer_over_the_digit_limit_leaves_its_successor(bits, nines, rng):
+    """About 4,300 to 100,000 digits, the last up to 40 of them 9s."""
+    assert _successor_is_stored((rng.getrandbits(bits) | 1 << bits) * 10**nines + 10**nines - 1)
+
+
+def test_a_large_exact_report_converts_its_degree_and_not_gamma(monkeypatch, default_digit_limit):
+    rep = report(parse("I(100,200)"), BUILTIN)
+    assert rep.sb.kind == "Exact" and rep.gamma == rep.degree + 1
+    converted = []
+    digits = render.digits
+
+    def counting_digits(n):
+        converted.append(n)
+        return digits(n)
+
+    monkeypatch.setattr(render, "digits", counting_digits)
+    for fmt in FORMATS:
+        converted.clear()
+        text = getattr(render, f"render_report_{fmt}")(rep)
+        assert text.count(_decimal(rep.gamma)) == 2
+        assert converted.count(rep.degree) == 1 and rep.gamma not in converted, fmt
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
