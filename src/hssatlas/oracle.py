@@ -124,15 +124,35 @@ def count_syt_hook(shape: RectShape) -> int:
     The hook of the cell in row i, column j (0-based) of an r x c
     rectangle is (r-i) + (c-j) - 1, so the hooks run over 1..r+c-1 and
     the length h occurs on min(h, r, c, r+c-h) cells (one antidiagonal
-    of the rectangle).  The product is formed by those multiplicities
-    instead of cell by cell.  The division is always exact; a remainder
-    would be a transcription fault and raises ``NonIntegralRatio``.
+    of the rectangle).  With r <= c (the count is symmetric in the
+    sides) the lengths fall into two multiplicity classes:
+
+    * each h in r..c occurs r times, so that part is the one power
+      ``prod(range(r, c + 1)) ** r``;
+    * for j < r the corner lengths j and r+c-j both occur j times, so
+      that part is the product of (j*(r+c-j))**j, built by squaring: at
+      each bit of j, from the highest down, the running product is
+      squared and multiplied by the factors whose j has that bit set.
+
+    The hook product is 2**v times an odd number.  The v low bits are
+    shifted out of both it and n! before the one ``divmod``, so the
+    division runs on shorter operands.  The exactness check still asks
+    whether the whole hook product divides n!: 2**v times an odd m
+    does exactly when the v low bits of n! are zero and m divides the
+    rest.  A set bit or a remainder would be a transcription fault and
+    raises ``NonIntegralRatio``.
     """
-    r, c = shape.rows, shape.cols
-    hooks = math.prod(h ** min(h, r, c, r + c - h) for h in range(1, r + c))
-    count, remainder = divmod(math.factorial(shape.cells), hooks)
-    if remainder:
-        raise NonIntegralRatio(f"{shape.cells}! is not a multiple of the hook product of {r}x{c}")
+    r, c = sorted(shape)
+    hooks = math.prod(range(r, c + 1)) ** r
+    corners = 1
+    for bit in reversed(range((r - 1).bit_length())):
+        corners = corners * corners * math.prod(j * (r + c - j) for j in range(1 << bit, r) if j >> bit & 1)
+    hooks *= corners
+    twos = (hooks & -hooks).bit_length() - 1
+    factorial = math.factorial(shape.cells)
+    count, remainder = divmod(factorial >> twos, hooks >> twos)
+    if remainder or factorial & ((1 << twos) - 1):
+        raise NonIntegralRatio(f"{shape.cells}! is not a multiple of the hook product of {shape.rows}x{shape.cols}")
     return count
 
 

@@ -148,11 +148,11 @@ def sb_human(sb: SBResult, text: Callable[[int], str] = digits) -> str:
     return f"S_B ∈ {{{joined}}} (refined; {sb.refinement.label})"
 
 
-def sb_cell(sb: SBResult) -> str:
+def sb_cell(sb: SBResult, text: Callable[[int], str] = digits) -> str:
     """Compact single-cell form for tables: '43', '[5,9]', '[5,9]{5,6}'."""
     if sb.kind == "Exact":
-        return digits(sb.value)
-    cell = f"[{digits(sb.lower)},{digits(sb.upper)}]"
+        return text(sb.value)
+    cell = f"[{text(sb.lower)},{text(sb.upper)}]"
     if sb.refinement is not None:
         cell += _braced(sb.refinement.values)
     return cell
@@ -164,6 +164,7 @@ def sb_cell(sb: SBResult) -> str:
 # str()'s default limit on the digits it writes; ``digits`` writes a
 # longer integer through Decimal, in time that grows faster than its length
 _STR_DIGITS_LIMIT = 4300
+_OVER_STR_DIGITS_LIMIT = 10**_STR_DIGITS_LIMIT  # the least integer with more digits
 
 
 def _successor_digits(text: str) -> str:
@@ -287,19 +288,31 @@ def render_report_latex(report: Report) -> str:
 # --- threshold scans -------------------------------------------------------
 
 
+def _scan_row_text(degree: int) -> Callable[[int], str]:
+    """The writer of one scan row's degree and S_B.  A row prints each
+    integer once, so a degree of at most 4,300 digits takes ``digits``
+    and its row costs one conversion per integer.  A larger one makes
+    the row exact, and it gets a ``_digits_once`` of its own: the degree
+    is converted once and S_B = Gamma = degree + 1 is taken from its
+    digits.  A memo for the whole scan would cost every small row a
+    closure call per integer."""
+    return digits if degree < _OVER_STR_DIGITS_LIMIT else _digits_once()
+
+
 def render_scan_json(scan: ScanResult) -> str:
+    rows = []
+    for row in scan.rows:
+        text = _scan_row_text(row.degree)
+        rows.append({
+            "param": digits(row.param),
+            "n": digits(row.n),
+            "degree": text(row.degree),
+            "sb": sb_to_obj(row.sb, text),
+            "clause": row.sb.clause,
+        })
     return _json({
         "family": scan.family,
-        "rows": [
-            {
-                "param": digits(row.param),
-                "n": digits(row.n),
-                "degree": digits(row.degree),
-                "sb": sb_to_obj(row.sb),
-                "clause": row.sb.clause,
-            }
-            for row in scan.rows
-        ],
+        "rows": rows,
         "first_exact": None if scan.first_exact is None else digits(scan.first_exact),
         "footnotes": list(scan.footnotes),
     })
@@ -307,10 +320,11 @@ def render_scan_json(scan: ScanResult) -> str:
 
 def _scan_cells(scan: ScanResult) -> list[tuple[str, str, str, str, str]]:
     """One row of text cells per scan row: param, n, degree, S_B, clause."""
-    return [
-        (digits(row.param), digits(row.n), digits(row.degree), sb_cell(row.sb), row.sb.clause)
-        for row in scan.rows
-    ]
+    cells = []
+    for row in scan.rows:
+        text = _scan_row_text(row.degree)
+        cells.append((digits(row.param), digits(row.n), text(row.degree), sb_cell(row.sb, text), row.sb.clause))
+    return cells
 
 
 def render_scan_human(scan: ScanResult) -> str:

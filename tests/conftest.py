@@ -34,10 +34,24 @@ def bruteforce_count():
     return count
 
 
+def _factorial_off_by(monkeypatch, defect: int) -> None:
+    """Give the oracle a ``math.factorial`` that is ``defect`` too large,
+    as a mistyped hook count would be; the arithmetic evaluators keep
+    the real one."""
+    factorial = math.factorial
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(prod=math.prod, factorial=lambda m: factorial(m) + defect))
+
+
 @pytest.fixture
 def off_by_one_factorial(monkeypatch):
-    """The oracle's ``math.factorial`` one too large, as a mistyped hook
-    count would be, so the hook product leaves a remainder; the
-    arithmetic evaluators keep the real one."""
-    factorial = math.factorial
-    monkeypatch.setattr(oracle, "math", SimpleNamespace(prod=math.prod, factorial=lambda m: factorial(m) + 1))
+    """n! + 1: odd, so a low bit that the hook count shifts out is set."""
+    _factorial_off_by(monkeypatch, 1)
+
+
+@pytest.fixture
+def off_by_an_even_factorial(monkeypatch):
+    """n! + 2**64: its low 64 bits are those of n!, so for a hook product
+    with fewer than 64 factors of 2 (2x3 has 2**4) the bits the hook
+    count shifts out are zero, and only the division's remainder can
+    show the defect."""
+    _factorial_off_by(monkeypatch, 2**64)

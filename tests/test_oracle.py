@@ -3,6 +3,7 @@ import copy
 import inspect
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -90,6 +91,24 @@ def test_shape_sides_are_plain_ints():
 def test_a_hook_count_with_a_remainder_raises_even_under_python_o():
     with pytest.raises(NonIntegralRatio, match=r"^6! is not a multiple of the hook product of 2x3$"):
         count_syt_hook(RectShape(2, 3))
+
+
+@pytest.mark.usefixtures("off_by_an_even_factorial")
+def test_a_hook_count_with_an_even_defect_raises_even_under_python_o():
+    # 2x3 has hook product 2**4 * 9, and (6! + 2**64) >> 4 = 45 + 2**60
+    # leaves 1 on division by 9, while (6! + 1) >> 4 divides evenly:
+    # each defect is caught by a different half of the check
+    assert (math.factorial(6) + 2**64) >> 4 == 45 + 2**60 and (45 + 2**60) % 9 == 1
+    with pytest.raises(NonIntegralRatio, match=r"^6! is not a multiple of the hook product of 2x3$"):
+        count_syt_hook(RectShape(2, 3))
+    with pytest.raises(NonIntegralRatio, match=r"^6! is not a multiple of the hook product of 3x2$"):
+        count_syt_hook(RectShape(3, 2))
+
+
+def test_one_row_or_one_column_has_one_tableau():
+    # r = 1 has no corner hooks, and the hook product is c! itself
+    for length in [*range(1, 201), 1000, 5000]:
+        assert count_syt_hook(RectShape(1, length)) == count_syt_hook(RectShape(length, 1)) == 1
 
 
 def test_bruteforce_equals_hook_on_the_whole_enumeration_envelope(bruteforce_count):
@@ -218,6 +237,16 @@ def test_hook_multiplicities_equal_the_cell_by_cell_product():
             count, remainder = divmod(math.factorial(rows * cols), hooks)
             assert remainder == 0
             assert count_syt_hook(RectShape(rows, cols)) == count
+
+
+def test_hook_count_on_a_sample_of_the_benchmark_envelope():
+    # the oracle workload's hook shapes: r * c >= 400, both sides at most
+    # 100; each drawn rectangle is counted in both orientations
+    shapes = [(r, c) for r in range(1, 101) for c in range(r, 101) if r * c >= 400]
+    for rows, cols in random.Random(3434).sample(shapes, 50):
+        count, remainder = divmod(math.factorial(rows * cols), _hook_product_cell_by_cell(rows, cols))
+        assert remainder == 0
+        assert count_syt_hook(RectShape(rows, cols)) == count_syt_hook(RectShape(cols, rows)) == count, (rows, cols)
 
 
 def test_check_type_i_degree_with_bruteforce_coverage(monkeypatch, bruteforce_count):

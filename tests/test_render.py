@@ -178,6 +178,51 @@ def test_a_large_exact_report_converts_its_degree_and_not_gamma(monkeypatch, def
         assert converted.count(rep.degree) == 1 and rep.gamma not in converted, fmt
 
 
+def test_a_large_exact_scan_row_converts_its_degree_and_not_gamma(monkeypatch, default_digit_limit):
+    scan = threshold_scan("I", 200, 200, k=100)
+    (row,) = scan.rows
+    assert row.sb.kind == "Exact" and row.sb.value == row.degree + 1
+    converted = []
+    digits = render.digits
+
+    def counting_digits(n):
+        converted.append(n)
+        return digits(n)
+
+    monkeypatch.setattr(render, "digits", counting_digits)
+    for fmt in FORMATS:
+        converted.clear()
+        text = getattr(render, f"render_scan_{fmt}")(scan)
+        assert text.count(_decimal(row.sb.value)) == 1
+        assert converted.count(row.degree) == 1 and row.sb.value not in converted, fmt
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_scan_under_the_digit_limit_converts_each_printed_integer_once(monkeypatch, fmt):
+    """The scan renderers keep no memo of integers under the limit:
+    every integer printed is one conversion, refined values included,
+    and equal values are converted each time (the row of I(2,4) prints
+    4 as its parameter and as n, the row of I(1,3) 3 as its parameter,
+    its lower bound and its refined value)."""
+    scan = threshold_scan("I", 3, 8, k=2, table=BUILTIN)
+    assert {row.sb.kind for row in scan.rows} == {"Exact", "Range"}
+    assert any(row.sb.refinement for row in scan.rows) and scan.first_exact is not None
+    expected = getattr(render, f"render_scan_{fmt}")(scan)
+    converted = []
+
+    def counting_digits(n):
+        converted.append(n)
+        return str(n)
+
+    monkeypatch.setattr(render, "digits", counting_digits)
+    assert getattr(render, f"render_scan_{fmt}")(scan) == expected
+    printed = (fmt == "json") + sum(  # JSON also prints first_exact
+        3 + (1 if row.sb.kind == "Exact" else 2 + len(row.sb.refinement.values if row.sb.refinement else ()))
+        for row in scan.rows
+    )
+    assert len(converted) == printed
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_report_render_converts_each_distinct_integer_once(monkeypatch, fmt):
     """An exact report prints its degree twice (degree and volume units)
